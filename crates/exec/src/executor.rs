@@ -14,15 +14,17 @@ use crate::ops::{
     BoxedOperator, IndexScanOp, MergeJoinOp, OrderingCheck, SortOp, SpillPolicy, StackTreeJoinOp,
 };
 use crate::plan::PlanNode;
-use crate::tuple::{Schema, Tuple, TupleBatch, BATCH_ROWS};
+use crate::tuple::{Rows, Schema, BATCH_ROWS};
 
 /// The materialized answer of one query execution.
 #[derive(Debug)]
 pub struct QueryResult {
     /// Column layout of `tuples`.
     pub schema: Schema,
-    /// All matches, in the order the plan produced them.
-    pub tuples: Vec<Tuple>,
+    /// All matches, in the order the plan produced them — the root
+    /// operator's batches as emitted, which is also what planck's
+    /// executed-plan lint (PL034) inspects.
+    pub tuples: Rows,
     /// Operator-level counters.
     pub metrics: MetricsSnapshot,
     /// Storage-level counters (delta over this execution).
@@ -54,19 +56,6 @@ impl QueryResult {
         rows.sort_unstable();
         rows
     }
-}
-
-/// The raw batch stream of one execution, before any row-major
-/// materialization — what planck's executed-plan lint inspects to
-/// verify ordering and row-count invariants at the root boundary.
-#[derive(Debug)]
-pub struct BatchedResult {
-    /// Column layout shared by every batch.
-    pub schema: Arc<Schema>,
-    /// The root operator's batches, in emission order.
-    pub batches: Vec<TupleBatch>,
-    /// Operator-level counters.
-    pub metrics: MetricsSnapshot,
 }
 
 /// Execute `plan` for `pattern` against `store`, materializing every
@@ -205,39 +194,6 @@ pub fn execute_guarded_with_batch_rows(
     execute_opts(store, pattern, plan, true, batch_rows, guard, None)
 }
 
-/// Execute `plan` and keep the root operator's batches as emitted,
-/// without flattening to row-major tuples. This is the inspection
-/// entry point for planck's `PL034` executed-plan lint.
-pub fn execute_batches(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-) -> Result<BatchedResult, EngineError> {
-    plan.validate(pattern).map_err(EngineError::InvalidPlan)?;
-    let metrics = ExecMetrics::new();
-    let guard = Arc::new(QueryGuard::unlimited());
-    let mut root = build_operator(store, pattern, plan, &metrics, BATCH_ROWS, &guard, None, None)?;
-    let mut batches = Vec::new();
-    let mut count: u64 = 0;
-    loop {
-        match root.next_batch() {
-            Ok(Some(batch)) => {
-                count += batch.len() as u64;
-                batches.push(batch);
-            }
-            Ok(None) => break,
-            Err(e) => {
-                ExecMetrics::add(&metrics.output_tuples, count);
-                return Err(attach_partial(e, &metrics));
-            }
-        }
-    }
-    ExecMetrics::add(&metrics.output_tuples, count);
-    let schema = root.schema().clone();
-    drop(root);
-    Ok(BatchedResult { schema, batches, metrics: metrics.snapshot() })
-}
-
 /// Replace a guard breach's placeholder snapshot with the real
 /// counters, so callers see how far the plan got before the stop.
 pub(crate) fn attach_partial(e: EngineError, metrics: &ExecMetrics) -> EngineError {
@@ -263,7 +219,7 @@ pub(crate) fn execute_opts(
     let io_before = store.stats().snapshot();
     let started = Instant::now();
     let mut root = build_operator(store, pattern, plan, &metrics, batch_rows, guard, spill, None)?;
-    let mut tuples = Vec::new();
+    let mut tuples = Rows::new();
     let mut count: u64 = 0;
     let ordered_col = root.ordered_col();
     let mut check = OrderingCheck::new();
@@ -274,7 +230,7 @@ pub(crate) fn execute_opts(
                 check.check(&batch, ordered_col);
                 count += batch.len() as u64;
                 if materialize {
-                    tuples.extend(batch.into_rows());
+                    tuples.push(batch);
                 }
             }
             Ok(None) => break,
@@ -604,14 +560,20 @@ mod tests {
     }
 
     #[test]
-    fn execute_batches_exposes_ordered_root_stream() {
+    fn result_keeps_the_ordered_root_batches() {
         let st = store();
         let pat = parse_pattern("//dept//emp").unwrap();
-        let res = execute_batches(&st, &pat, &two_way_plan()).unwrap();
-        let rows: usize = res.batches.iter().map(TupleBatch::len).sum();
+        let res = execute_with_batch_rows(&st, &pat, &two_way_plan(), 2).unwrap();
+        let batches = res.tuples.batches();
+        assert_eq!(batches.len(), 2, "3 rows at 2 rows per batch");
+        let rows: usize = batches.iter().map(crate::tuple::TupleBatch::len).sum();
         assert_eq!(rows as u64, res.metrics.output_tuples);
+        assert_eq!(res.tuples.len(), 3);
         let col = res.schema.position(PnId(1)).unwrap();
-        assert!(res.batches.iter().all(|b| b.is_sorted_by(col)));
+        assert!(batches.iter().all(|b| b.is_sorted_by(col)));
+        let wide = execute(&st, &pat, &two_way_plan()).unwrap();
+        assert_eq!(wide.tuples.batches().len(), 1);
+        assert_eq!(res.tuples, wide.tuples, "equality ignores batch breaks");
     }
 
     #[test]

@@ -47,10 +47,10 @@ pub mod tuple;
 
 pub use error::{EngineError, ExecError, GuardBreach};
 pub use executor::{
-    execute, execute_batches, execute_counting, execute_counting_guarded,
-    execute_counting_guarded_spill, execute_counting_with_batch_rows, execute_guarded,
-    execute_guarded_spill, execute_guarded_with_batch_rows, execute_spill_with_batch_rows,
-    execute_with_batch_rows, BatchedResult, QueryResult,
+    execute, execute_counting, execute_counting_guarded, execute_counting_guarded_spill,
+    execute_counting_with_batch_rows, execute_guarded, execute_guarded_spill,
+    execute_guarded_with_batch_rows, execute_spill_with_batch_rows, execute_with_batch_rows,
+    QueryResult,
 };
 pub use guard::{CancelToken, GuardedOp, QueryGuard};
 pub use metrics::{ExecMetrics, MetricsSnapshot};
@@ -61,7 +61,7 @@ pub use parallel::{
     RegionPartition,
 };
 pub use plan::{JoinAlgo, OperatorContract, PlanNode};
-pub use tuple::{Entry, Schema, Tuple, TupleBatch, BATCH_ROWS};
+pub use tuple::{Entry, RowRef, Rows, Schema, Tuple, TupleBatch, BATCH_ROWS};
 
 #[cfg(test)]
 mod thread_safety {

@@ -22,6 +22,15 @@
 //! per counter per batch — the totals are bit-identical to the
 //! tuple-at-a-time engine for every batch size.
 //!
+//! Nothing in the merge loop allocates per row. Stack rows live in one
+//! flat `Vec<Entry>` (stride = left width), copied straight from the
+//! input batch. Anc's pairs live in one append-only `PairArena`;
+//! the self, inherit and ready lists are linked lists over it, so
+//! handing a popped entry's pairs down the stack is an O(1) splice, as
+//! in the paper, rather than a copy per nesting level. The arena
+//! empties whenever `ready` drains: pairs reach `ready` only when the
+//! stack bottom pops, so at that moment no stack entry holds a pair.
+//!
 //! The merge loop additionally keeps its counters *partition-exact*:
 //! every left tuple consumed is pushed (and eventually popped) even
 //! after the right stream ends, so `stack_pushes` equals the number
@@ -32,7 +41,6 @@
 //! cut — per-morsel counters sum bit-identically to the serial run
 //! (planck rule PL068 re-verifies this dynamically).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sjos_pattern::{Axis, PnId};
@@ -42,7 +50,82 @@ use crate::guard::QueryGuard;
 use crate::metrics::ExecMetrics;
 use crate::ops::{BoxedOperator, InputCursor, Operator};
 use crate::plan::JoinAlgo;
-use crate::tuple::{Entry, Schema, Tuple, TupleBatch, BATCH_ROWS};
+use crate::tuple::{Entry, Schema, TupleBatch, BATCH_ROWS};
+
+/// Link terminating a [`PairList`].
+const NIL: u32 = u32::MAX;
+
+/// A singly linked list of pairs in a [`PairArena`]: O(1) append and
+/// O(1) concatenation.
+#[derive(Clone, Copy)]
+struct PairList {
+    head: u32,
+    tail: u32,
+    len: usize,
+}
+
+impl PairList {
+    const EMPTY: PairList = PairList { head: NIL, tail: NIL, len: 0 };
+}
+
+/// Append-only storage for Stack-Tree-Anc's buffered output pairs:
+/// pair `k` is `entries[k * width..(k + 1) * width]`, and `next[k]`
+/// links it to the following pair of whichever list holds it.
+struct PairArena {
+    width: usize,
+    entries: Vec<Entry>,
+    next: Vec<u32>,
+}
+
+impl PairArena {
+    fn new(width: usize) -> PairArena {
+        PairArena { width, entries: Vec::new(), next: Vec::new() }
+    }
+
+    /// Store the pair `anc ++ desc` at the end of `list`.
+    fn push(&mut self, list: &mut PairList, anc: &[Entry], desc: &[Entry]) {
+        let k = u32::try_from(self.next.len())
+            .ok()
+            .filter(|&k| k < NIL)
+            .expect("pair arena index overflow");
+        self.entries.extend_from_slice(anc);
+        self.entries.extend_from_slice(desc);
+        self.next.push(NIL);
+        *list = self.concat(*list, PairList { head: k, tail: k, len: 1 });
+    }
+
+    /// `a ++ b`, splicing `b` after `a`'s tail.
+    fn concat(&mut self, a: PairList, b: PairList) -> PairList {
+        if a.len == 0 {
+            return b;
+        }
+        if b.len == 0 {
+            return a;
+        }
+        self.next[a.tail as usize] = b.head;
+        PairList { head: a.head, tail: b.tail, len: a.len + b.len }
+    }
+
+    fn pair(&self, k: u32) -> &[Entry] {
+        let k = k as usize;
+        &self.entries[k * self.width..(k + 1) * self.width]
+    }
+
+    /// Drop every pair, keeping the capacity for reuse.
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.next.clear();
+    }
+}
+
+/// Stack-Tree-Anc's pair lists for one stack entry.
+#[derive(Clone, Copy)]
+struct AncLists {
+    /// Pairs with this entry as the ancestor.
+    own: PairList,
+    /// Ordered pairs inherited from popped descendants.
+    inherited: PairList,
+}
 
 /// A structural join operator (either stack-tree variant).
 pub struct StackTreeJoinOp<'a> {
@@ -61,10 +144,14 @@ pub struct StackTreeJoinOp<'a> {
     metrics: Arc<ExecMetrics>,
     guard: Option<Arc<QueryGuard>>,
 
-    /// Desc: plain ancestor stack. Anc: stack with pair lists.
-    stack: Vec<StackEntry>,
+    /// The ancestor stack: row `i` is `stack[i * left_width..]`.
+    stack: Vec<Entry>,
+    /// Anc: the pair lists of each stack entry (parallel to `stack`).
+    lists: Vec<AncLists>,
+    /// Anc: every buffered pair.
+    arena: PairArena,
     /// Anc: completed output awaiting delivery.
-    ready: VecDeque<Tuple>,
+    ready: PairList,
     /// Reused copy of the right tuple being consumed.
     scratch_right: Vec<Entry>,
     done: bool,
@@ -84,14 +171,6 @@ pub struct StackTreeJoinOp<'a> {
     /// the instantaneous footprint, so it shrinks as pairs leave via
     /// `ready` and stack entries pop.
     metrics_live_bytes: u64,
-}
-
-struct StackEntry {
-    tuple: Tuple,
-    /// Pairs with this entry as the ancestor (Anc only).
-    self_list: Vec<Tuple>,
-    /// Ordered pairs inherited from popped descendants (Anc only).
-    inherit_list: Vec<Tuple>,
 }
 
 impl<'a> StackTreeJoinOp<'a> {
@@ -133,11 +212,13 @@ impl<'a> StackTreeJoinOp<'a> {
             left_width,
             axis,
             algo,
+            arena: PairArena::new(schema.width()),
             schema,
             metrics,
             guard: None,
             stack: Vec::new(),
-            ready: VecDeque::new(),
+            lists: Vec::new(),
+            ready: PairList::EMPTY,
             scratch_right: Vec::new(),
             done: false,
             batch_rows: BATCH_ROWS,
@@ -178,15 +259,10 @@ impl<'a> StackTreeJoinOp<'a> {
         Ok(self.right.peek()?.map(|(b, r)| b.entry(col, r).region.start))
     }
 
-    /// Does the pair (ancestor row `a`, descendant row `d`) satisfy
-    /// the axis? Containment is implied by stack membership; only the
-    /// level test remains for `/`.
+    /// Number of entries on the stack.
     #[inline]
-    fn axis_ok(&self, a: &[Entry], d: &[Entry]) -> bool {
-        match self.axis {
-            Axis::Descendant => true,
-            Axis::Child => a[self.left_col].region.level + 1 == d[self.right_col].region.level,
-        }
+    fn depth(&self) -> usize {
+        self.stack.len() / self.left_width
     }
 
     /// Bytes of one stack entry's tuple.
@@ -203,51 +279,68 @@ impl<'a> StackTreeJoinOp<'a> {
 
     #[inline]
     fn reserve_live(&mut self, bytes: u64) {
-        self.metrics.reserve_bytes(bytes);
-        self.metrics_live_bytes += bytes;
+        if bytes > 0 {
+            self.metrics.reserve_bytes(bytes);
+            self.metrics_live_bytes += bytes;
+        }
     }
 
     #[inline]
     fn release_live(&mut self, bytes: u64) {
-        self.metrics.release_bytes(bytes);
-        self.metrics_live_bytes = self.metrics_live_bytes.saturating_sub(bytes);
+        if bytes > 0 {
+            self.metrics.release_bytes(bytes);
+            self.metrics_live_bytes = self.metrics_live_bytes.saturating_sub(bytes);
+        }
     }
 
     /// Pop every stack entry whose interval ends before `pos`.
     fn pop_before(&mut self, pos: u32) {
-        while let Some(top) = self.stack.last() {
-            if top.tuple[self.left_col].region.end < pos {
+        let mut popped = 0u64;
+        while let Some(top) = self.stack.len().checked_sub(self.left_width) {
+            if self.stack[top + self.left_col].region.end < pos {
                 self.pop_one();
+                popped += 1;
             } else {
                 break;
             }
         }
+        // Releases only lower the live total, so one release for the
+        // whole run leaves the peak exactly as per-entry releases do.
+        self.release_live(popped * self.stack_entry_bytes());
     }
 
-    /// Pop the top entry, routing its buffered pairs (Anc).
+    /// Pop the top entry, routing its buffered pairs (Anc). The
+    /// caller releases the entry's live bytes.
     fn pop_one(&mut self) {
         // Invariant: both call sites check the stack is non-empty
-        // (`pop_before` peeks the top, `step` loops on `!is_empty`).
-        let entry = self.stack.pop().expect("pop from empty stack");
+        // (`pop_before` peeks the top, `step` pops `depth()` times).
+        let top = self.stack.len().checked_sub(self.left_width).expect("pop from empty stack");
+        self.stack.truncate(top);
         self.c_pops += 1;
-        self.release_live(self.stack_entry_bytes());
         if self.algo == JoinAlgo::StackTreeAnc {
-            let mut pairs = entry.self_list;
-            pairs.extend(entry.inherit_list);
-            match self.stack.last_mut() {
+            let entry = self.lists.pop().expect("pair lists parallel the stack");
+            let pairs = self.arena.concat(entry.own, entry.inherited);
+            match self.lists.last_mut() {
                 Some(below) => {
-                    self.c_buffered += pairs.len() as u64;
-                    below.inherit_list.extend(pairs);
+                    self.c_buffered += pairs.len as u64;
+                    below.inherited = self.arena.concat(below.inherited, pairs);
                 }
-                None => self.ready.extend(pairs),
+                None => self.ready = self.arena.concat(self.ready, pairs),
             }
         }
     }
 
-    fn push(&mut self, tuple: Tuple) {
+    /// Push the current left row (the caller has peeked it).
+    fn push_left(&mut self) -> Result<(), EngineError> {
+        let (batch, row) = self.left.peek()?.expect("left row present");
+        batch.append_row_to(row, &mut self.stack);
+        self.left.advance();
         self.c_pushes += 1;
         self.reserve_live(self.stack_entry_bytes());
-        self.stack.push(StackEntry { tuple, self_list: Vec::new(), inherit_list: Vec::new() });
+        if self.algo == JoinAlgo::StackTreeAnc {
+            self.lists.push(AncLists { own: PairList::EMPTY, inherited: PairList::EMPTY });
+        }
+        Ok(())
     }
 
     /// One step of the merge loop: consume one input tuple, emitting
@@ -258,10 +351,7 @@ impl<'a> StackTreeJoinOp<'a> {
             (Some(a_start), Some(d_start)) => {
                 if a_start < d_start {
                     self.pop_before(a_start);
-                    // Invariant: `left_start` above peeked this row.
-                    let t = self.left.peek_row()?.expect("left row present");
-                    self.left.advance();
-                    self.push(t);
+                    self.push_left()?;
                 } else {
                     self.consume_right(out)?;
                 }
@@ -285,17 +375,16 @@ impl<'a> StackTreeJoinOp<'a> {
             // ancestor slice does).
             (Some(a_start), None) => {
                 self.pop_before(a_start);
-                // Invariant: `left_start` above peeked this row.
-                let t = self.left.peek_row()?.expect("left row present");
-                self.left.advance();
-                self.push(t);
+                self.push_left()?;
             }
             // Both sides done: flush the remaining stack (Anc pair
             // routing included) and stop.
             (None, None) => {
-                while !self.stack.is_empty() {
+                let depth = self.depth() as u64;
+                for _ in 0..depth {
                     self.pop_one();
                 }
+                self.release_live(depth * self.stack_entry_bytes());
                 self.done = true;
             }
         }
@@ -310,36 +399,76 @@ impl<'a> StackTreeJoinOp<'a> {
         {
             let (batch, row) = self.right.peek()?.expect("right row present");
             self.scratch_right.clear();
-            self.scratch_right.extend((0..batch.width()).map(|c| batch.entry(c, row)));
+            batch.append_row_to(row, &mut self.scratch_right);
         }
         self.right.advance();
+        let lw = self.left_width;
+        // Containment is implied by stack membership; only the level
+        // test remains for `/`.
+        let d_level = self.scratch_right[self.right_col].region.level;
+        let (axis, left_col) = (self.axis, self.left_col);
+        let axis_ok =
+            |a: &[Entry]| axis == Axis::Descendant || a[left_col].region.level + 1 == d_level;
         match self.algo {
             JoinAlgo::StackTreeDesc => {
                 // Emit bottom-up so each descendant's pairs leave in
                 // ancestor order, matching the tuple-engine's lazy
-                // stack walk.
-                for i in 0..self.stack.len() {
-                    if self.axis_ok(&self.stack[i].tuple, &self.scratch_right) {
-                        out.push_concat(&self.stack[i].tuple, &self.scratch_right);
+                // stack walk. The capacity starts at the target, so
+                // matches that do not fit end the batch: grow once, by
+                // exactly their number, and a kept batch carries no
+                // doubling slack. Matches are counted only when the
+                // stack depth, their upper bound, would not fit.
+                if out.len() + self.depth() > out.capacity() {
+                    let matches = self.stack.chunks_exact(lw).filter(|a| axis_ok(a)).count();
+                    if out.len() + matches > out.capacity() {
+                        out.reserve_exact(matches);
+                    }
+                }
+                for a in self.stack.chunks_exact(lw) {
+                    if axis_ok(a) {
+                        out.push_concat(a, &self.scratch_right);
                     }
                 }
             }
             JoinAlgo::StackTreeAnc => {
-                for i in 0..self.stack.len() {
-                    if self.axis_ok(&self.stack[i].tuple, &self.scratch_right) {
-                        let mut pair = Vec::with_capacity(self.schema.width());
-                        pair.extend_from_slice(&self.stack[i].tuple);
-                        pair.extend_from_slice(&self.scratch_right);
-                        self.c_buffered += 1;
-                        self.pairs_created += 1;
-                        self.reserve_live(self.pair_bytes());
-                        self.stack[i].self_list.push(pair);
+                let mut created = 0u64;
+                for (a, lists) in self.stack.chunks_exact(lw).zip(&mut self.lists) {
+                    if axis_ok(a) {
+                        self.arena.push(&mut lists.own, a, &self.scratch_right);
+                        created += 1;
                     }
                 }
+                self.c_buffered += created;
+                self.pairs_created += created;
+                // No release happens in between, so one reservation
+                // for this descendant's pairs reaches the same peak.
+                self.reserve_live(created * self.pair_bytes());
             }
             JoinAlgo::MergeJoin => unreachable!("rejected in the constructor"),
         }
         Ok(())
+    }
+
+    /// Move pairs from the head of `ready` into `out` until it is full,
+    /// emptying the arena once `ready` drains.
+    fn drain_ready(&mut self, out: &mut TupleBatch) {
+        let n = (self.batch_rows - out.len()).min(self.ready.len);
+        let mut k = self.ready.head;
+        for _ in 0..n {
+            out.push_row(self.arena.pair(k));
+            k = self.arena.next[k as usize];
+        }
+        self.ready.head = k;
+        self.ready.len -= n;
+        self.release_live(n as u64 * self.pair_bytes());
+        if self.ready.len == 0 {
+            // Pairs reach `ready` only when the stack bottom pops, and
+            // none are created until it drains: no other list holds a
+            // pair now.
+            debug_assert!(self.lists.iter().all(|l| l.own.len == 0 && l.inherited.len == 0));
+            self.ready = PairList::EMPTY;
+            self.arena.clear();
+        }
     }
 
     /// Flush local counters to the shared metrics — one atomic add
@@ -397,9 +526,8 @@ impl Operator for StackTreeJoinOp<'_> {
     fn next_batch(&mut self) -> Result<Option<TupleBatch>, EngineError> {
         let mut out = TupleBatch::with_capacity(self.schema.clone(), self.batch_rows);
         while out.len() < self.batch_rows {
-            if let Some(t) = self.ready.pop_front() {
-                out.push_row(&t);
-                self.release_live(self.pair_bytes());
+            if self.ready.len > 0 {
+                self.drain_ready(&mut out);
                 continue;
             }
             if self.done {
@@ -674,5 +802,94 @@ mod tests {
         .unwrap();
         let count: usize = std::iter::from_fn(|| op.next_batch().unwrap().map(|b| b.len())).sum();
         assert_eq!(count as u32, n, "every ancestor matches the single leaf");
+    }
+
+    /// Two nested ancestor chains (depth 8 and 4) with descendants at
+    /// several depths, plus a trailing childless ancestor.
+    fn deep_chain() -> (Vec<Region>, Vec<Region>) {
+        let mut ancs: Vec<Region> = (0..8).map(|i| r(10 * i, 1000 - 10 * i, i as u16)).collect();
+        ancs.extend((0..4).map(|j| r(2000 + 10 * j, 2100 - 10 * j, j as u16)));
+        ancs.push(r(3000, 3001, 0));
+        let descs = vec![
+            r(1, 2, 1),
+            r(21, 22, 3),
+            r(51, 52, 6),
+            r(71, 72, 8),
+            r(942, 943, 6),
+            r(983, 984, 2),
+            r(2031, 2032, 4),
+            r(2072, 2073, 3),
+        ];
+        (ancs, descs)
+    }
+
+    /// Nesting 8 deep (deeper than the 1- and 3-row batches) makes
+    /// Anc splice pair lists down several levels and drain `ready`
+    /// across batch boundaries. The expected values were recorded
+    /// from the earlier implementation, which kept a `Vec<Tuple>` per
+    /// list and re-moved every pair once per nesting level.
+    #[test]
+    fn anc_nesting_deeper_than_batch_matches_recorded_trace() {
+        let by_anc: [(u32, &[u32]); 12] = [
+            (0, &[1, 21, 51, 71, 942, 983]),
+            (10, &[21, 51, 71, 942, 983]),
+            (20, &[21, 51, 71, 942]),
+            (30, &[51, 71, 942]),
+            (40, &[51, 71, 942]),
+            (50, &[51, 71, 942]),
+            (60, &[71]),
+            (70, &[71]),
+            (2000, &[2031, 2072]),
+            (2010, &[2031, 2072]),
+            (2020, &[2031, 2072]),
+            (2030, &[2031]),
+        ];
+        let expected: Vec<(u32, u32)> =
+            by_anc.iter().flat_map(|&(a, ds)| ds.iter().map(move |&d| (a, d))).collect();
+        // Guard bytes reserved after each batch: 26 pairs of 32 B from
+        // the first chain, then 7 more from the second.
+        let reserved_at = |batch_rows: usize| -> Vec<usize> {
+            match batch_rows {
+                1 => [vec![832; 26], vec![1056; 7]].concat(),
+                3 => [vec![832; 8], vec![1056; 3]].concat(),
+                _ => vec![1056],
+            }
+        };
+        for batch_rows in [1, 3, 1024] {
+            let (ancs, descs) = deep_chain();
+            let m = ExecMetrics::new();
+            let guard = Arc::new(QueryGuard::unlimited());
+            let left = Box::new(fixed(PnId(0), ancs).with_batch_rows(batch_rows));
+            let right = Box::new(fixed(PnId(1), descs).with_batch_rows(batch_rows));
+            let mut op = StackTreeJoinOp::new(
+                left,
+                right,
+                PnId(0),
+                PnId(1),
+                Axis::Descendant,
+                JoinAlgo::StackTreeAnc,
+                Arc::clone(&m),
+            )
+            .unwrap()
+            .with_batch_rows(batch_rows)
+            .with_guard(Arc::clone(&guard));
+            let mut pairs = vec![];
+            let mut reserved = vec![];
+            while let Some(b) = op.next_batch().unwrap() {
+                for row in 0..b.len() {
+                    pairs.push((b.entry(0, row).region.start, b.entry(1, row).region.start));
+                }
+                reserved.push(guard.bytes_reserved());
+            }
+            drop(op);
+            assert_eq!(pairs, expected, "pair order at batch_rows={batch_rows}");
+            assert_eq!(reserved, reserved_at(batch_rows), "guard at batch_rows={batch_rows}");
+            let s = m.snapshot();
+            assert_eq!(s.stack_pushes, 13, "batch_rows={batch_rows}");
+            assert_eq!(s.stack_pops, 13, "batch_rows={batch_rows}");
+            assert_eq!(s.buffered_pairs, 104, "batch_rows={batch_rows}");
+            assert_eq!(s.peak_bytes, 864, "batch_rows={batch_rows}");
+            assert_eq!(s.produced_tuples, 33, "batch_rows={batch_rows}");
+        }
     }
 }

@@ -24,7 +24,7 @@ use crate::error::EngineError;
 use crate::guard::QueryGuard;
 use crate::metrics::ExecMetrics;
 use crate::ops::{BoxedOperator, InputCursor, Operator};
-use crate::tuple::{Entry, Schema, Tuple, TupleBatch, BATCH_ROWS};
+use crate::tuple::{Entry, Schema, TupleBatch, BATCH_ROWS};
 
 /// Merge-based structural join; output ordered by the ancestor.
 pub struct MergeJoinOp<'a> {
@@ -45,7 +45,9 @@ pub struct MergeJoinOp<'a> {
     mark: usize,
     /// Scan position within the current ancestor's window.
     scan: usize,
-    cur_left: Option<Tuple>,
+    /// The current ancestor row, reused across rows; empty once the
+    /// left input is exhausted (rows are never zero-width).
+    cur_left: Vec<Entry>,
     started: bool,
     batch_rows: usize,
 
@@ -96,7 +98,7 @@ impl<'a> MergeJoinOp<'a> {
             right_done: false,
             mark: 0,
             scan: 0,
-            cur_left: None,
+            cur_left: Vec::new(),
             started: false,
             batch_rows: BATCH_ROWS,
             c_rescans: 0,
@@ -144,16 +146,18 @@ impl<'a> MergeJoinOp<'a> {
     }
 
     fn advance_left(&mut self) -> Result<(), EngineError> {
-        self.cur_left = self.left.peek_row()?;
-        if self.cur_left.is_some() {
-            self.left.advance();
-        } else {
+        self.cur_left.clear();
+        match self.left.peek()? {
+            Some((batch, row)) => {
+                batch.append_row_to(row, &mut self.cur_left);
+                self.left.advance();
+            }
             // No future ancestor exists; run the abandoned right side
             // out so total work is batch-size-independent.
-            self.right.exhaust()?;
+            None => self.right.exhaust()?,
         }
-        if let Some(a) = &self.cur_left {
-            let a_region = a[self.left_col].region;
+        if !self.cur_left.is_empty() {
+            let a_region = self.cur_left[self.left_col].region;
             // Move the mark past descendants that precede this (and
             // therefore every later) ancestor.
             self.fill_right_until(a_region.start)?;
@@ -221,9 +225,10 @@ impl Operator for MergeJoinOp<'_> {
         }
         let mut out = TupleBatch::with_capacity(self.schema.clone(), self.batch_rows);
         while out.len() < self.batch_rows {
-            let Some(a_region) = self.cur_left.as_ref().map(|a| a[self.left_col].region) else {
+            if self.cur_left.is_empty() {
                 break;
-            };
+            }
+            let a_region = self.cur_left[self.left_col].region;
             let in_window = self.scan < self.right_len()
                 && self.right_buf[self.right_col][self.scan].region.start < a_region.end;
             if !in_window {
@@ -246,10 +251,7 @@ impl Operator for MergeJoinOp<'_> {
             if self.axis == Axis::Child && a_region.level + 1 != d_region.level {
                 continue;
             }
-            // Invariant: `a_region` was read from `cur_left` above and
-            // nothing in this iteration cleared it.
-            let a = self.cur_left.as_ref().expect("left row present");
-            for (col, &e) in a.iter().enumerate() {
+            for (col, &e) in self.cur_left.iter().enumerate() {
                 out.column_mut(col).push(e);
             }
             for (j, src) in self.right_buf.iter().enumerate() {

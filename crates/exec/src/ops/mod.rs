@@ -145,11 +145,6 @@ impl<'a> InputCursor<'a> {
         Ok(Some((self.batch.as_ref().expect("batch present"), self.pos)))
     }
 
-    /// Copy of the current row, if any.
-    pub(crate) fn peek_row(&mut self) -> Result<Option<Tuple>, EngineError> {
-        Ok(self.peek()?.map(|(b, r)| b.row(r)))
-    }
-
     /// Advance past the current row.
     pub(crate) fn advance(&mut self) {
         self.pos += 1;

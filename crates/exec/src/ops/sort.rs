@@ -760,7 +760,7 @@ mod tests {
         let mut rows = Vec::new();
         while let Some(b) = op.next_batch().unwrap() {
             assert!(b.is_sorted_by(op.ordered_col()));
-            rows.extend(b.into_rows());
+            rows.extend((0..b.len()).map(|r| b.row(r)));
         }
         rows
     }

@@ -58,7 +58,7 @@ use crate::guard::QueryGuard;
 use crate::metrics::{ExecMetrics, MetricsSnapshot};
 use crate::ops::OrderingCheck;
 use crate::plan::PlanNode;
-use crate::tuple::{Schema, Tuple, BATCH_ROWS};
+use crate::tuple::{Rows, Schema, BATCH_ROWS};
 
 /// How records flow into the cut chooser between guard checkpoints.
 const PREPASS_CHECK_EVERY: u64 = 4096;
@@ -477,13 +477,14 @@ pub fn execute_parallel_opts(
     }
 
     // No failure, no abort: every slot is filled. Stitch in morsel
-    // order — ranges ascend the start axis, so concatenation is the
-    // serial emission order.
-    let mut tuples = Vec::new();
+    // order — ranges ascend the start axis, so concatenating the
+    // morsels' batch lists is the serial emission order (no row is
+    // copied).
+    let mut tuples = Rows::new();
     let mut snapshots = Vec::with_capacity(morsels);
     for out in outs {
         let out = out.expect("all morsels completed");
-        tuples.extend(out.tuples);
+        tuples.append(out.tuples);
         snapshots.push(out.snapshot);
     }
     let elapsed = started.elapsed();
@@ -503,7 +504,7 @@ pub fn execute_parallel_opts(
 }
 
 struct MorselOut {
-    tuples: Vec<Tuple>,
+    tuples: Rows,
     snapshot: MetricsSnapshot,
 }
 
@@ -525,7 +526,7 @@ fn run_morsel(
     let metrics = ExecMetrics::new();
     let mut root =
         build_operator(store, pattern, plan, &metrics, batch_rows, guard, None, Some(range))?;
-    let mut tuples = Vec::new();
+    let mut tuples = Rows::new();
     let mut count: u64 = 0;
     let ordered_col = root.ordered_col();
     let mut check = OrderingCheck::new();
@@ -538,7 +539,7 @@ fn run_morsel(
                 check.check(&batch, ordered_col);
                 count += batch.len() as u64;
                 if materialize {
-                    tuples.extend(batch.into_rows());
+                    tuples.push(batch);
                 }
             }
             Ok(None) => break,

@@ -2,10 +2,13 @@
 //!
 //! The executor moves data in [`TupleBatch`]es — column-major arrays
 //! of [`Entry`] values sharing one [`Schema`] — rather than one
-//! heap-allocated row at a time. Row-major [`Tuple`]s remain the
-//! interchange format at the edges (materialized query results, join
-//! stack entries, test fixtures).
+//! heap-allocated row at a time. A materialized query result keeps
+//! the root operator's batches as emitted ([`Rows`]), so no path from
+//! a join to the caller allocates per row. Row-major [`Tuple`]s remain
+//! only at the edges (test fixtures, [`crate::ops::VecInput`]).
 
+use std::fmt;
+use std::ops::Index;
 use std::sync::Arc;
 
 use sjos_pattern::PnId;
@@ -174,6 +177,28 @@ impl TupleBatch {
         }
     }
 
+    /// Copy row `row` onto the end of a flat row-major buffer (one
+    /// entry per column) — how joins park a left row on their stack
+    /// without allocating a [`Tuple`].
+    pub(crate) fn append_row_to(&self, row: usize, out: &mut Vec<Entry>) {
+        out.extend(self.columns.iter().map(|c| c[row]));
+    }
+
+    /// Rows the batch holds without reallocating.
+    pub(crate) fn capacity(&self) -> usize {
+        self.columns.iter().map(Vec::capacity).min().unwrap_or(0)
+    }
+
+    /// Make room for at least `additional` more rows in every column
+    /// without the doubling slack of amortized growth — for a batch
+    /// about to overshoot its target by a known amount and then be
+    /// kept.
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        for col in &mut self.columns {
+            col.reserve_exact(additional);
+        }
+    }
+
     /// Append one row formed by concatenating two row fragments (a
     /// join's left and right halves) without materializing the
     /// combined row first.
@@ -208,10 +233,116 @@ impl TupleBatch {
             .windows(2)
             .all(|w| (w[0].region.start, w[0].region.end) <= (w[1].region.start, w[1].region.end))
     }
+}
 
-    /// Drain the batch into row-major tuples.
-    pub fn into_rows(self) -> Vec<Tuple> {
-        (0..self.len()).map(|r| self.row(r)).collect()
+/// The rows of a materialized result, held as the root operator's
+/// batches exactly as they were emitted: collecting a result moves
+/// batches, never rows. Equality and `Debug` see only the row
+/// sequence, so two results compare equal however their batches
+/// break.
+#[derive(Clone, Default)]
+pub struct Rows {
+    batches: Vec<TupleBatch>,
+    len: usize,
+}
+
+impl Rows {
+    /// No rows.
+    pub fn new() -> Rows {
+        Rows::default()
+    }
+
+    /// Wrap a batch sequence (kept as is — empty batches included, so
+    /// a lint can still see them).
+    pub fn from_batches(batches: Vec<TupleBatch>) -> Rows {
+        let len = batches.iter().map(TupleBatch::len).sum();
+        Rows { batches, len }
+    }
+
+    /// Append one batch.
+    pub fn push(&mut self, batch: TupleBatch) {
+        self.len += batch.len();
+        self.batches.push(batch);
+    }
+
+    /// Append every batch of `other`, in order (no row is copied).
+    pub fn append(&mut self, other: Rows) {
+        self.len += other.len;
+        self.batches.extend(other.batches);
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The batches, in emission order.
+    pub fn batches(&self) -> &[TupleBatch] {
+        &self.batches
+    }
+
+    /// Give up the batches, in emission order.
+    pub fn into_batches(self) -> Vec<TupleBatch> {
+        self.batches
+    }
+
+    /// Rows in order; each item indexes by column to an [`Entry`].
+    pub fn iter(&self) -> impl Iterator<Item = RowRef<'_>> + '_ {
+        self.batches.iter().flat_map(|batch| (0..batch.len()).map(move |row| RowRef { batch, row }))
+    }
+}
+
+impl PartialEq for Rows {
+    fn eq(&self, other: &Rows) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Rows {}
+
+impl fmt::Debug for Rows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// One row of a [`Rows`], borrowed from its batch. `row[i]` is the
+/// entry of column `i`.
+#[derive(Clone, Copy)]
+pub struct RowRef<'a> {
+    batch: &'a TupleBatch,
+    row: usize,
+}
+
+impl RowRef<'_> {
+    /// The row's entries, in column order.
+    pub fn iter(&self) -> impl Iterator<Item = Entry> + '_ {
+        self.batch.columns.iter().map(|c| c[self.row])
+    }
+}
+
+impl Index<usize> for RowRef<'_> {
+    type Output = Entry;
+
+    fn index(&self, col: usize) -> &Entry {
+        &self.batch.columns[col][self.row]
+    }
+}
+
+impl PartialEq for RowRef<'_> {
+    fn eq(&self, other: &RowRef<'_>) -> bool {
+        self.batch.width() == other.batch.width() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for RowRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -259,7 +390,30 @@ mod tests {
         assert_eq!(b.entry(1, 0), e(2, 3));
         assert_eq!(b.row(1), vec![e(4, 9), e(5, 6)]);
         assert_eq!(b.column(0), &[e(1, 10), e(4, 9)]);
-        assert_eq!(b.clone().into_rows().len(), 2);
+    }
+
+    #[test]
+    fn rows_compare_by_sequence_not_batching() {
+        let schema = Arc::new(Schema::new(vec![PnId(0), PnId(1)]));
+        let all = [[e(1, 10), e(2, 3)], [e(4, 9), e(5, 6)], [e(11, 14), e(12, 13)]];
+        let batch = |rows: &[[Entry; 2]]| {
+            TupleBatch::from_rows(schema.clone(), rows.iter().map(<[Entry; 2]>::as_slice))
+        };
+        let one = Rows::from_batches(vec![batch(&all)]);
+        let mut split = Rows::from_batches(vec![batch(&all[..1])]);
+        split.append(Rows::from_batches(vec![batch(&all[1..2]), batch(&all[2..])]));
+        assert_eq!(one.len(), 3);
+        assert_eq!(split.batches().len(), 3);
+        assert_eq!(one, split);
+        assert_eq!(format!("{one:?}"), format!("{split:?}"));
+        let starts: Vec<u32> = split.iter().map(|t| t[0].region.start).collect();
+        assert_eq!(starts, vec![1, 4, 11]);
+        assert_eq!(split.iter().count(), 3);
+        assert_eq!(split.iter().nth(1).unwrap().iter().collect::<Vec<_>>(), all[1].to_vec());
+        let short = Rows::from_batches(vec![batch(&all[..2])]);
+        assert_ne!(one, short);
+        assert!(Rows::new().is_empty());
+        assert_eq!(Rows::new(), Rows::from_batches(vec![TupleBatch::new(schema.clone())]));
     }
 
     #[test]

@@ -68,8 +68,8 @@ const RECEIVER_EXCLUDE: [&str; 3] = ["stdout", "stderr", "stdin"];
 /// Pull-or-check identifiers: an unbounded `loop` inside an
 /// `Operator::next_batch` must either consult the guard or pull
 /// through a guarded boundary each iteration.
-const PULL_OR_CHECK: [&str; 7] =
-    ["check_batch", "check_point", "next_batch", "peek", "peek_row", "pop_into", "exhaust"];
+const PULL_OR_CHECK: [&str; 6] =
+    ["check_batch", "check_point", "next_batch", "peek", "pop_into", "exhaust"];
 
 /// One scanned source file: tokens with `#[cfg(test)]` items removed.
 struct SourceFile {

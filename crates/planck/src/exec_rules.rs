@@ -23,7 +23,7 @@
 //! cut, and demands the concatenated morsel outputs and the summed
 //! per-morsel work counters match the serial run bit for bit.
 
-use sjos_exec::{execute, execute_batches, execute_parallel, BatchedResult, EngineError, PlanNode};
+use sjos_exec::{execute, execute_parallel, EngineError, PlanNode, QueryResult};
 use sjos_pattern::Pattern;
 use sjos_storage::{FaultPlan, RetryPolicy, StoreConfig, XmlStore};
 
@@ -32,9 +32,11 @@ use crate::diag::{Report, Rule};
 /// Execute `plan` against `store` and lint the emitted batch stream
 /// (rule PL034). Plans that fail the executor's validation are
 /// reported under PL034 too — an unexecutable plan cannot honor the
-/// batch contract.
+/// batch contract. In a debug build the executor's own asserts stop an
+/// empty or unsorted root batch first, with a panic; a release build
+/// reports those as PL034 diagnostics.
 pub fn lint_execution(store: &XmlStore, pattern: &Pattern, plan: &PlanNode) -> Report {
-    match execute_batches(store, pattern, plan) {
+    match execute(store, pattern, plan) {
         Ok(result) => lint_batches(&result, plan),
         Err(e) => {
             let mut report = Report::default();
@@ -244,11 +246,11 @@ fn plan_leaves(plan: &PlanNode) -> Vec<sjos_pattern::PnId> {
     out
 }
 
-/// Lint an already-executed batch stream against the plan that
-/// produced it. Split out from [`lint_execution`] so corrupted
-/// streams can be checked directly (the engine itself never emits
-/// one).
-pub fn lint_batches(result: &BatchedResult, plan: &PlanNode) -> Report {
+/// Lint an already-executed result's root batch stream against the
+/// plan that produced it. Split out from [`lint_execution`] so
+/// corrupted streams can be checked directly (the engine itself never
+/// emits one).
+pub fn lint_batches(result: &QueryResult, plan: &PlanNode) -> Report {
     let mut report = Report::default();
     let ordering = plan.ordered_by();
     let Some(col) = result.schema.position(ordering) else {
@@ -262,7 +264,7 @@ pub fn lint_batches(result: &BatchedResult, plan: &PlanNode) -> Report {
 
     let mut rows: u64 = 0;
     let mut prev_last: Option<(u32, u32)> = None;
-    for (i, batch) in result.batches.iter().enumerate() {
+    for (i, batch) in result.tuples.batches().iter().enumerate() {
         if batch.is_empty() {
             report.push(
                 Rule::BatchContract,
@@ -333,6 +335,7 @@ pub fn lint_batches(result: &BatchedResult, plan: &PlanNode) -> Report {
 mod tests {
     use super::*;
     use sjos_core::{optimize, Algorithm, CostModel};
+    use sjos_exec::Rows;
     use sjos_pattern::parse_pattern;
     use sjos_stats::{Catalog, PatternEstimates};
     use sjos_xml::Document;
@@ -437,26 +440,27 @@ mod tests {
     #[test]
     fn corrupted_stream_fires_each_check() {
         let (store, pattern, plan) = setup("//a/b/c");
-        let clean = execute_batches(&store, &pattern, &plan).unwrap();
+        let clean = execute(&store, &pattern, &plan).unwrap();
         assert!(lint_batches(&clean, &plan).is_clean());
-        assert!(!clean.batches.is_empty(), "fixture query must match");
+        assert!(!clean.tuples.is_empty(), "fixture query must match");
 
         // Unsorted within a batch: reverse the rows of the first batch.
-        let mut unsorted = execute_batches(&store, &pattern, &plan).unwrap();
-        let rows: Vec<_> = {
-            let b = &unsorted.batches[0];
-            (0..b.len()).rev().map(|r| b.row(r)).collect()
-        };
-        unsorted.batches[0] = sjos_exec::TupleBatch::from_rows(
-            std::sync::Arc::clone(&unsorted.schema),
+        let mut unsorted = execute(&store, &pattern, &plan).unwrap();
+        let mut batches = std::mem::take(&mut unsorted.tuples).into_batches();
+        let rows: Vec<_> = (0..batches[0].len()).rev().map(|r| batches[0].row(r)).collect();
+        batches[0] = sjos_exec::TupleBatch::from_rows(
+            std::sync::Arc::clone(batches[0].schema()),
             rows.iter().map(std::vec::Vec::as_slice),
         );
+        unsorted.tuples = Rows::from_batches(batches);
         let report = lint_batches(&unsorted, &plan);
         assert!(report.violates(Rule::BatchContract), "{}", report.render());
 
         // Row counts out of step with output_tuples.
-        let mut short = execute_batches(&store, &pattern, &plan).unwrap();
-        short.batches.pop();
+        let mut short = execute(&store, &pattern, &plan).unwrap();
+        let mut batches = std::mem::take(&mut short.tuples).into_batches();
+        batches.pop();
+        short.tuples = Rows::from_batches(batches);
         let report = lint_batches(&short, &plan);
         assert!(
             report.diagnostics.iter().any(|d| d.message.contains("output_tuples")),
@@ -465,9 +469,9 @@ mod tests {
         );
 
         // Ordering regressing across batches: duplicate the stream.
-        let mut doubled = execute_batches(&store, &pattern, &plan).unwrap();
-        let copy = doubled.batches.clone();
-        doubled.batches.extend(copy);
+        let mut doubled = execute(&store, &pattern, &plan).unwrap();
+        let copy = doubled.tuples.clone();
+        doubled.tuples.append(copy);
         let report = lint_batches(&doubled, &plan);
         assert!(
             report.diagnostics.iter().any(|d| d.message.contains("regresses")),

@@ -31,6 +31,12 @@ cargo run --quiet -p sjos-bench --bin spill -- --smoke
 echo "==> parallel bench smoke (morsel partitioning happens, answers bit-identical to serial)"
 cargo run --quiet -p sjos-bench --bin parallel -- --smoke
 
+echo "==> perfbench smoke (every workload for 2 s; a wrong answer exits nonzero)"
+for workload in paper-mix adhoc-twigs scan-bound; do
+  cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 0 >/dev/null
+done
+
 echo "==> planlint selftest"
 cargo run --quiet --bin planlint -- --query '//a/b/c' --selftest >/dev/null
 

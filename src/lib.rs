@@ -61,8 +61,8 @@ pub use sjos_xml as xml;
 pub use sjos_core::OptimizerError;
 pub use sjos_core::{optimize, Algorithm, CostModel, OptimizedPlan};
 pub use sjos_exec::{
-    execute, BatchedResult, CancelToken, EngineError, GuardBreach, PlanNode, QueryGuard,
-    QueryResult, SpillPolicy, TupleBatch, BATCH_ROWS,
+    execute, CancelToken, EngineError, GuardBreach, PlanNode, QueryGuard, QueryResult, SpillPolicy,
+    TupleBatch, BATCH_ROWS,
 };
 pub use sjos_pattern::{parse_pattern, Pattern};
 pub use sjos_stats::{Catalog, PatternEstimates};
@@ -212,18 +212,6 @@ impl Database {
         guard: &Arc<QueryGuard>,
     ) -> Result<QueryResult, Error> {
         Ok(sjos_exec::execute_guarded(&self.store, pattern, plan, guard)?)
-    }
-
-    /// Execute an explicit plan, keeping the root operator's columnar
-    /// batches as emitted instead of flattening them to row-major
-    /// tuples — for inspecting the engine's ordering and row-count
-    /// invariants (planck's executed-plan lint builds on this).
-    pub fn execute_batches(
-        &self,
-        pattern: &Pattern,
-        plan: &PlanNode,
-    ) -> Result<BatchedResult, Error> {
-        Ok(sjos_exec::execute_batches(&self.store, pattern, plan)?)
     }
 
     /// Measure this machine's cost factors against the loaded data

@@ -2,15 +2,19 @@
 //! documents, every optimizer's plan — plus seeded random valid plans —
 //! executed at several batch granularities must return exactly the
 //! bindings the naive navigational evaluator finds, and the stack
-//! traffic counters must not move with the batch size.
+//! traffic counters must not move with the batch size. A query result
+//! keeps the root's batches as emitted, so result equality must not
+//! see where those batches break — across granularities or morsels.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sjos::core::random_plan;
-use sjos::datagen::{dblp::dblp, mbench::mbench, pers::pers, GenConfig};
+use sjos::datagen::{
+    dblp::dblp, fold_document, mbench::mbench, paper_queries, pers::pers, GenConfig,
+};
 use sjos::{Algorithm, Database, PlanNode};
-use sjos_exec::{execute_with_batch_rows, naive, BATCH_ROWS};
+use sjos_exec::{execute_parallel, execute_with_batch_rows, naive, JoinAlgo, BATCH_ROWS};
 
 /// Granularities under test: the tuple-at-a-time degenerate case, an
 /// awkward size that never divides the row counts, and production.
@@ -90,4 +94,60 @@ fn mbench_documents_across_seeds() {
 fn value_predicates_across_batch_sizes() {
     let db = Database::from_document(pers(GenConfig { target_nodes: 1_500, seed: 9 }));
     check(&db, "//department[./name[text()='sales']]/employee/name", 9);
+}
+
+fn uses_anc(plan: &PlanNode) -> bool {
+    match plan {
+        PlanNode::IndexScan { .. } => false,
+        PlanNode::Sort { input, .. } => uses_anc(input),
+        PlanNode::StructuralJoin { left, right, algo, .. } => {
+            *algo == JoinAlgo::StackTreeAnc || uses_anc(left) || uses_anc(right)
+        }
+    }
+}
+
+/// One Pers and one Mbench query (the two whose collection cost
+/// dominated before results kept their batches), run at batch_rows
+/// 1, 7 and 1024 and as a 2-worker morsel run: the results hold
+/// differently broken batch lists yet must compare equal, row for
+/// row, and give identical canonical rows.
+#[test]
+fn results_compare_equal_however_batches_break() {
+    let mut saw_anc = false;
+    for id in ["Q.Pers.3.d", "Q.Mbench.2.b"] {
+        let q = paper_queries().into_iter().find(|q| q.id == id).expect("Table-1 query");
+        let doc = if id.starts_with("Q.Pers") {
+            pers(GenConfig::sized(600))
+        } else {
+            mbench(GenConfig::sized(700))
+        };
+        // Folded copies give the partitioner clean cuts.
+        let db = Database::from_document(fold_document(&doc, 5));
+        let pattern = q.pattern();
+        for alg in [Algorithm::Dpp { lookahead: true }, Algorithm::Fp] {
+            let plan = db.optimize(&pattern, alg).expect("optimizes").plan;
+            saw_anc |= uses_anc(&plan);
+            let base = execute_with_batch_rows(db.store(), &pattern, &plan, BATCH_ROWS).unwrap();
+            assert!(base.tuples.len() > 7, "{id}: fixture must span several 7-row batches");
+            let canonical = base.canonical_rows();
+            let mut batch_counts = Vec::new();
+            for rows in [1, 7, BATCH_ROWS] {
+                let r = execute_with_batch_rows(db.store(), &pattern, &plan, rows).unwrap();
+                batch_counts.push(r.tuples.batches().len());
+                assert_eq!(r.tuples, base.tuples, "{id} via {} at batch_rows={rows}", alg.name());
+                assert_eq!(r.canonical_rows(), canonical, "{id} at batch_rows={rows}");
+            }
+            // A Desc batch overshoots its target by one descendant's
+            // matches, so 1 and 7 may break alike; 1 and 1024 cannot.
+            assert!(
+                batch_counts[0] > batch_counts[2],
+                "{id}: the batch lists must break differently: {batch_counts:?}"
+            );
+            let par = execute_parallel(db.store(), &pattern, &plan, 2).unwrap();
+            assert!(par.morsel_count() > 1, "{id}: folded corpus must split");
+            assert_eq!(par.result.tuples, base.tuples, "{id} via {}: 2 workers", alg.name());
+            assert_eq!(par.result.canonical_rows(), canonical, "{id}: 2 workers");
+        }
+    }
+    assert!(saw_anc, "at least one plan must exercise Stack-Tree-Anc");
 }

@@ -173,10 +173,21 @@ fn contended_budget_yields_queue_then_overloaded() {
 
     let mut saw_overload = false;
     std::thread::scope(|scope| {
+        // The holder alone is patient: when the probe wins the budget
+        // first, the holder retries its timed-out arrival until the
+        // probe drains, so each of its runs ends clean.
         let holder_session = service.session();
         let holder = scope.spawn(move || {
             for _ in 0..6 {
-                holder_session.query_with(heavy, DPP).expect("holder runs clean");
+                let result = loop {
+                    match holder_session.query_with(heavy, DPP) {
+                        Err(ServiceError::Overloaded(r)) if r.reason == RejectReason::TimedOut => {
+                            std::thread::yield_now();
+                        }
+                        result => break result,
+                    }
+                };
+                result.expect("holder runs clean");
             }
         });
         let session = service.session();
