@@ -26,7 +26,7 @@
 //! `--smoke` shrinks the corpora and exits nonzero unless at least
 //! one query actually split into ≥ 2 morsels, zero runs disagreed
 //! with the serial engine, and a speedup was recorded for every
-//! (query, threads) cell.
+//! (query, threads) cell. It leaves `BENCH_parallel.json` as it is.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -253,14 +253,6 @@ fn main() -> ExitCode {
         summary.push((ds.to_string(), geomean));
     }
 
-    let json = render_json(&args, cpus, &rows, &summary, widest);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {path}");
-
     if args.smoke {
         // The CI gate: partitioning must actually happen and must be
         // invisible; scaling numbers are recorded, not thresholded
@@ -285,6 +277,15 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
+
+    let json = render_json(&args, cpus, &rows, &summary, widest);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
+    if let Err(e) = std::fs::write(path, &json) {
+        eprintln!("cannot write {path}: {e}");
+        return ExitCode::FAILURE;
+    }
+    println!("wrote {path}");
+
     if mismatches > 0 {
         eprintln!("FAIL: {mismatches} parallel runs disagreed with the serial engine");
         return ExitCode::FAILURE;

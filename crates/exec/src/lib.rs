@@ -57,8 +57,8 @@ pub use metrics::{ExecMetrics, MetricsSnapshot};
 pub use ops::SpillPolicy;
 pub use parallel::{
     execute_parallel, execute_parallel_counting, execute_parallel_guarded, execute_parallel_opts,
-    partition_regions, plan_partition, scatter, stitch, ParallelOutcome, ParallelPolicy,
-    RegionPartition,
+    partition_regions, plan_partition, scatter, stitch, straddles_every_cut, ParallelOutcome,
+    ParallelPolicy, RegionPartition,
 };
 pub use plan::{JoinAlgo, OperatorContract, PlanNode};
 pub use tuple::{Entry, RowRef, Rows, Schema, Tuple, TupleBatch, BATCH_ROWS};

@@ -49,7 +49,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use sjos_pattern::Pattern;
-use sjos_storage::{IoTap, XmlStore};
+use sjos_storage::{Extent, IoTap, XmlStore};
 use sjos_xml::Region;
 
 use crate::error::EngineError;
@@ -144,6 +144,8 @@ pub fn partition_regions(lists: &[Vec<Region>], target_morsels: usize) -> Region
 /// `f_I·n` cost, paid once before the parallel run). Plans containing
 /// a wildcard scan return the serial partition: the document root's
 /// interval spans every candidate cut, so no interior cut is valid.
+/// So do plans whose lists' directory extents already rule out every
+/// cut ([`straddles_every_cut`]); they read no page.
 ///
 /// # Errors
 /// [`EngineError::Storage`] if the pre-pass hits an unrecoverable
@@ -181,6 +183,11 @@ pub fn plan_partition(
     if total == 0 {
         return Ok(RegionPartition::serial());
     }
+    let extents: Vec<Extent> = tags.iter().filter_map(|&(t, _)| store.index().extent(t)).collect();
+    if straddles_every_cut(&extents) {
+        // Decided from the directory alone: skip the pre-pass reads.
+        return Ok(RegionPartition { cuts: Vec::new(), total_records: total });
+    }
     let weights: Vec<u64> = tags.iter().map(|&(_, m)| m).collect();
     let streams: Vec<_> = tags
         .iter()
@@ -193,6 +200,19 @@ pub fn plan_partition(
         .collect();
     let cuts = choose_cuts(streams, &weights, total, target_morsels, guard)?;
     Ok(RegionPartition { cuts, total_records: total })
+}
+
+/// True when the lists' directory extents alone prove that no interior
+/// cut is valid: the record that starts first ends at or after the
+/// last start of every list, so it straddles every start [`choose_cuts`]
+/// could cut at. (Ties on the first start do not matter: the chooser
+/// never cuts before its first record, and every record ends at or
+/// after its own start.) Mbench's root `eNest` is the common case.
+pub fn straddles_every_cut(extents: &[Extent]) -> bool {
+    let Some(first) = extents.iter().map(|e| e.first).min_by_key(|r| r.start) else {
+        return false;
+    };
+    extents.iter().all(|e| first.end >= e.last_start)
 }
 
 /// The streaming cut chooser: k-way-merge the per-list streams by
@@ -671,6 +691,20 @@ mod tests {
         let out = execute_parallel(&st, &pat, &two_way_plan(), 4).unwrap();
         assert_eq!(out.morsel_count(), 1, "wildcard runs as one serial morsel");
         assert!(!out.result.is_empty());
+    }
+
+    #[test]
+    fn root_binding_plans_are_refused_from_the_directory() {
+        let st = forest(64);
+        let pat = parse_pattern("//db//emp").unwrap();
+        let before = st.stats().snapshot();
+        let part = plan_partition(&st, &pat, &two_way_plan(), 8, None).unwrap();
+        let io = st.stats().snapshot().since(&before);
+        assert_eq!(part.morsel_count(), 1, "the root straddles every cut");
+        let db = st.document().tag("db").unwrap();
+        let emp = st.document().tag("emp").unwrap();
+        assert_eq!(part.total_records, st.tag_cardinality(db) + st.tag_cardinality(emp));
+        assert_eq!((io.buffer_hits, io.disk_reads), (0, 0), "no page is read");
     }
 
     #[test]

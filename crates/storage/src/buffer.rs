@@ -46,25 +46,81 @@ impl RetryPolicy {
     }
 }
 
+/// End-of-list marker for the recency links.
+const NIL: usize = usize::MAX;
+
 struct Frame {
     page_id: Option<PageId>,
+    /// The cached image; empty frames share the pool's zero page.
     data: Arc<Page>,
     pin: u32,
     dirty: bool,
-    last_used: u64,
+    /// Recency-list neighbours toward the most / least recently used
+    /// end ([`NIL`] at the ends and while the frame is empty).
+    newer: usize,
+    older: usize,
 }
 
+/// Frame table plus the two structures that make victim choice O(1):
+/// an intrusive doubly-linked recency list over the occupied frames
+/// and a stack of the empty ones.
 struct Inner {
     frames: Vec<Frame>,
     page_table: HashMap<PageId, usize>,
-    tick: u64,
+    /// Most / least recently used occupied frame ([`NIL`] if none).
+    mru: usize,
+    lru: usize,
+    /// Empty frames, the lowest index on top.
+    free: Vec<usize>,
+}
+
+impl Inner {
+    fn unlink(&mut self, slot: usize) {
+        let (newer, older) = (self.frames[slot].newer, self.frames[slot].older);
+        match newer {
+            NIL => self.mru = older,
+            n => self.frames[n].older = older,
+        }
+        match older {
+            NIL => self.lru = newer,
+            o => self.frames[o].newer = newer,
+        }
+        self.frames[slot].newer = NIL;
+        self.frames[slot].older = NIL;
+    }
+
+    fn push_mru(&mut self, slot: usize) {
+        self.frames[slot].older = self.mru;
+        self.frames[slot].newer = NIL;
+        match self.mru {
+            NIL => self.lru = slot,
+            m => self.frames[m].newer = slot,
+        }
+        self.mru = slot;
+    }
+
+    /// The least recently used unpinned occupied frame. Pinned frames
+    /// keep their place in the list (their recency is that of their
+    /// last fetch) and are stepped over; pins are few and short.
+    fn lru_unpinned(&self) -> Option<usize> {
+        let mut slot = self.lru;
+        while slot != NIL {
+            if self.frames[slot].pin == 0 {
+                return Some(slot);
+            }
+            slot = self.frames[slot].newer;
+        }
+        None
+    }
 }
 
 /// A fixed-capacity page cache in front of a [`DiskManager`].
 ///
 /// Reads pin a frame and hand out a cheap [`PageRef`] (an `Arc` clone
-/// of the page image); dropping the ref unpins. Misses evict the
-/// least-recently-used unpinned frame, writing it back first if dirty.
+/// of the page image); dropping the ref unpins. Misses fill an empty
+/// frame if there is one, else evict the least-recently-used unpinned
+/// frame, writing it back first if dirty; both choices are O(1) (the
+/// scan past pinned frames aside).
 /// Every page loaded from disk is checksum-verified; transient
 /// failures (injected faults, OS errors, corrupt images) are retried
 /// under the pool's [`RetryPolicy`] before surfacing as a typed
@@ -73,6 +129,8 @@ pub struct BufferPool {
     disk: Arc<dyn DiskManager>,
     stats: Arc<IoStats>,
     retry: RetryPolicy,
+    /// The image every empty frame shares.
+    zero: Arc<Page>,
     inner: Mutex<Inner>,
 }
 
@@ -81,20 +139,29 @@ impl BufferPool {
     /// retry policy.
     pub fn new(disk: Arc<dyn DiskManager>, stats: Arc<IoStats>, capacity_pages: usize) -> Self {
         assert!(capacity_pages > 0, "buffer pool needs at least one frame");
+        let zero: Arc<Page> = Arc::from(Page::zeroed());
         let frames = (0..capacity_pages)
             .map(|_| Frame {
                 page_id: None,
-                data: Arc::from(Page::zeroed()),
+                data: Arc::clone(&zero),
                 pin: 0,
                 dirty: false,
-                last_used: 0,
+                newer: NIL,
+                older: NIL,
             })
             .collect();
         BufferPool {
             disk,
             stats,
             retry: RetryPolicy::default(),
-            inner: Mutex::new(Inner { frames, page_table: HashMap::new(), tick: 0 }),
+            zero,
+            inner: Mutex::new(Inner {
+                frames,
+                page_table: HashMap::new(),
+                mru: NIL,
+                lru: NIL,
+                free: (0..capacity_pages).rev().collect(),
+            }),
         }
     }
 
@@ -198,41 +265,67 @@ impl BufferPool {
     /// Fetch (and pin) page `id`.
     pub fn fetch(&self, id: PageId) -> Result<PageRef<'_>, StorageError> {
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
         if let Some(&slot) = inner.page_table.get(&id) {
             self.stats.bump_hit();
+            inner.unlink(slot);
+            inner.push_mru(slot);
             let frame = &mut inner.frames[slot];
             frame.pin += 1;
-            frame.last_used = tick;
             let data = Arc::clone(&frame.data);
             return Ok(PageRef { pool: self, slot, data });
         }
-        // Miss: pick a victim (empty frame preferred, else LRU unpinned).
-        let slot = self.pick_victim(&inner)?;
-        // Evict before the read so the frame is free even if the read
-        // fails; a failed read then leaves an empty frame, not a
-        // stale mapping.
-        if let Some(old_id) = inner.frames[slot].page_id.take() {
-            if inner.frames[slot].dirty {
-                let data = Arc::clone(&inner.frames[slot].data);
-                self.write_back(old_id, &data)?;
-                inner.frames[slot].dirty = false;
+        // Miss: an empty frame if any, else evict the LRU unpinned one.
+        let slot = match inner.free.pop() {
+            Some(slot) => slot,
+            None => {
+                let capacity = inner.frames.len();
+                let slot = inner.lru_unpinned().ok_or(StorageError::PoolExhausted { capacity })?;
+                let frame = &inner.frames[slot];
+                let old_id = frame.page_id.expect("frames on the recency list are occupied");
+                // Write back before unmapping: a failed write leaves
+                // the victim resident, mapped and dirty.
+                if frame.dirty {
+                    let data = Arc::clone(&frame.data);
+                    self.write_back(old_id, &data)?;
+                }
+                self.stats.bump_eviction();
+                inner.page_table.remove(&old_id);
+                inner.unlink(slot);
+                let frame = &mut inner.frames[slot];
+                frame.page_id = None;
+                frame.dirty = false;
+                slot
             }
-            self.stats.bump_eviction();
-            inner.page_table.remove(&old_id);
-        }
+        };
         // The in-memory disk is fast and the pool is coarse-grained
         // by design; hold the lock across the (possibly retried) read.
-        let data: Arc<Page> = Arc::from(self.read_verified(id)?);
+        // A failed read leaves an empty frame, not a stale mapping.
+        let data: Arc<Page> = match self.read_verified(id) {
+            Ok(page) => Arc::from(page),
+            Err(e) => {
+                inner.frames[slot].data = Arc::clone(&self.zero);
+                // The frame came off the free stack (and goes back on
+                // top) or the stack was empty: the order holds.
+                inner.free.push(slot);
+                return Err(e);
+            }
+        };
         let frame = &mut inner.frames[slot];
         frame.page_id = Some(id);
         frame.data = Arc::clone(&data);
         frame.pin = 1;
-        frame.dirty = false;
-        frame.last_used = tick;
         inner.page_table.insert(id, slot);
+        inner.push_mru(slot);
         Ok(PageRef { pool: self, slot, data })
+    }
+
+    /// Fetch page `id` and return its image without keeping a pin:
+    /// the pin is taken and dropped inside the call, as for a
+    /// [`PageRef`] released at once. The snapshot stays valid however
+    /// long it is held, because eviction installs a fresh `Arc` in the
+    /// frame and [`BufferPool::with_page_mut`] copies on write.
+    pub fn fetch_snapshot(&self, id: PageId) -> Result<Arc<Page>, StorageError> {
+        Ok(Arc::clone(&self.fetch(id)?.data))
     }
 
     /// Stamp the page's checksum and write it to disk — the single
@@ -242,22 +335,6 @@ impl BufferPool {
         let mut page = (**data).clone();
         page.stamp_checksum();
         self.with_retries(IoStats::bump_write_retry, || self.disk.write_page(id, &page))
-    }
-
-    fn pick_victim(&self, inner: &Inner) -> Result<usize, StorageError> {
-        let mut best: Option<(usize, u64)> = None;
-        for (i, f) in inner.frames.iter().enumerate() {
-            if f.page_id.is_none() {
-                return Ok(i);
-            }
-            if f.pin == 0 {
-                match best {
-                    Some((_, lu)) if lu <= f.last_used => {}
-                    _ => best = Some((i, f.last_used)),
-                }
-            }
-        }
-        best.map(|(i, _)| i).ok_or(StorageError::PoolExhausted { capacity: inner.frames.len() })
     }
 
     /// Mutate page `id` in place through the pool, marking it dirty.
@@ -310,6 +387,7 @@ impl BufferPool {
     pub fn reset_cache(&self) -> Result<usize, StorageError> {
         let mut inner = self.inner.lock();
         let mut dropped = 0;
+        let mut failure = None;
         for i in 0..inner.frames.len() {
             if inner.frames[i].pin > 0 {
                 continue;
@@ -317,18 +395,24 @@ impl BufferPool {
             if let Some(id) = inner.frames[i].page_id {
                 if inner.frames[i].dirty {
                     let data = Arc::clone(&inner.frames[i].data);
-                    self.write_back(id, &data)?;
+                    if let Err(e) = self.write_back(id, &data) {
+                        failure = Some(e);
+                        break;
+                    }
                 }
                 inner.page_table.remove(&id);
+                inner.unlink(i);
                 let frame = &mut inner.frames[i];
                 frame.page_id = None;
                 frame.dirty = false;
-                frame.data = Arc::from(Page::zeroed());
-                frame.last_used = 0;
+                frame.data = Arc::clone(&self.zero);
+                inner.free.push(i);
                 dropped += 1;
             }
         }
-        Ok(dropped)
+        // Frames were freed in index order; keep the lowest on top.
+        inner.free.sort_unstable_by(|a, b| b.cmp(a));
+        failure.map_or(Ok(dropped), Err)
     }
 
     /// Number of currently pinned frames (test/diagnostic hook for
@@ -632,6 +716,133 @@ mod tests {
                 assert_eq!(*last, StorageError::InjectedIo { page: ids[0] });
             }
             other => panic!("expected RetriesExhausted(InjectedIo), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn failed_eviction_write_back_keeps_the_victim_resident() {
+        let plan = FaultPlan { seed: 13, transient_write: 1.0, ..FaultPlan::none() };
+        let (faulty, pool, ids) = faulty_setup(1, 2, plan);
+        pool.with_page_mut(ids[0], |p| p.write_u32(0, 777)).unwrap();
+        let before = pool.stats().snapshot();
+        assert!(pool.fetch(ids[1]).is_err(), "the victim's write-back fails");
+        let held = pool.fetch(ids[0]).unwrap();
+        assert_eq!(held.read_u32(0), 777, "the dirty image stays cached");
+        assert_eq!(pool.stats().snapshot().since(&before).buffer_hits, 1);
+        match pool.fetch(ids[1]) {
+            Err(StorageError::PoolExhausted { capacity: 1 }) => {}
+            other => panic!("expected PoolExhausted, got {other:?}"),
+        }
+        assert_eq!(pool.pinned_frames(), 1, "the held pin survives");
+        drop(held);
+        faulty.disarm();
+        assert_eq!(pool.fetch(ids[1]).unwrap().read_u32(0), 1);
+        assert_eq!(pool.fetch(ids[0]).unwrap().read_u32(0), 777, "the dirty write was not lost");
+    }
+
+    /// The victim rule the recency list replaces, kept as a model: an
+    /// empty frame if any, else the unpinned frame with the oldest
+    /// last use, found by scanning every frame.
+    struct ScanModel {
+        /// `(page, pins, last_used)` per occupied frame.
+        frames: Vec<Option<(usize, u32, u64)>>,
+        tick: u64,
+        hits: u64,
+        reads: u64,
+        evictions: u64,
+    }
+
+    impl ScanModel {
+        fn new(capacity: usize) -> ScanModel {
+            ScanModel { frames: vec![None; capacity], tick: 0, hits: 0, reads: 0, evictions: 0 }
+        }
+
+        fn fetch(&mut self, page: usize) -> Option<usize> {
+            self.tick += 1;
+            if let Some(slot) = self.frames.iter().position(|f| f.is_some_and(|f| f.0 == page)) {
+                self.hits += 1;
+                let f = self.frames[slot].as_mut().unwrap();
+                f.1 += 1;
+                f.2 = self.tick;
+                return Some(slot);
+            }
+            let slot = match self.frames.iter().position(Option::is_none) {
+                Some(slot) => slot,
+                None => {
+                    let (slot, _) = self
+                        .frames
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, f)| f.filter(|f| f.1 == 0).map(|f| (i, f.2)))
+                        .min_by_key(|&(_, last)| last)?;
+                    self.evictions += 1;
+                    slot
+                }
+            };
+            self.reads += 1;
+            self.frames[slot] = Some((page, 1, self.tick));
+            Some(slot)
+        }
+
+        fn unpin(&mut self, slot: usize) {
+            self.frames[slot].as_mut().unwrap().1 -= 1;
+        }
+
+        fn reset(&mut self) {
+            for f in &mut self.frames {
+                if f.is_some_and(|f| f.1 == 0) {
+                    *f = None;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recency_list_evicts_exactly_what_the_frame_scan_did() {
+        let (_d, pool, ids) = setup(8, 20);
+        let mut model = ScanModel::new(8);
+        let base = pool.stats().snapshot();
+        // Held pins: the pool's refs and the model's frame slots.
+        let mut held: Vec<(PageRef<'_>, usize)> = Vec::new();
+        let mut rng: u64 = 0x9e37_79b9_7f4a_7c15;
+        for step in 0..5_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let page = (rng >> 8) as usize % ids.len();
+            match rng % 16 {
+                0..=7 => {
+                    let got = pool.fetch(ids[page]).map(drop);
+                    let want = model.fetch(page).map(|slot| model.unpin(slot));
+                    assert_eq!(got.is_ok(), want.is_some(), "step {step}: fetch outcome");
+                }
+                8..=10 => match (pool.fetch(ids[page]), model.fetch(page)) {
+                    (Ok(r), Some(slot)) => held.push((r, slot)),
+                    (Err(StorageError::PoolExhausted { .. }), None) => {}
+                    (got, want) => panic!("step {step}: hold {got:?} vs model {want:?}"),
+                },
+                11..=13 if !held.is_empty() => {
+                    let (r, slot) = held.swap_remove((rng >> 32) as usize % held.len());
+                    drop(r);
+                    model.unpin(slot);
+                }
+                14 => {
+                    let got = pool.with_page_mut(ids[page], |p| p.write_u32(64, step));
+                    let want = model.fetch(page).map(|slot| model.unpin(slot));
+                    assert_eq!(got.is_ok(), want.is_some(), "step {step}: with_page_mut");
+                }
+                15 => {
+                    pool.reset_cache().unwrap();
+                    model.reset();
+                }
+                _ => {}
+            }
+            let d = pool.stats().snapshot().since(&base);
+            assert_eq!(
+                (d.buffer_hits, d.disk_reads, d.evictions),
+                (model.hits, model.reads, model.evictions),
+                "step {step}: hits, reads, evictions"
+            );
         }
     }
 

@@ -4,144 +4,70 @@
 //! "walk the subtree" evaluation the paper's Example 2.2 warns about)
 //! and the source the tag index is bulk-built from.
 
-use std::sync::Arc;
-
 use crate::buffer::BufferPool;
 use crate::disk::DiskManager;
 use crate::error::StorageError;
-use crate::page::{Page, PageId};
-use crate::record::{page_record_count, set_page_record_count, ElementRecord, RECORDS_PER_PAGE};
+use crate::index::{Posting, RecordCursor};
+use crate::page::PageId;
+use crate::record::ElementRecord;
 
 /// A sequence of element records packed onto pages in append order.
 #[derive(Debug, Clone)]
 pub struct HeapFile {
-    pages: Vec<PageId>,
-    len: u64,
+    list: Posting,
 }
 
 impl HeapFile {
-    /// Bulk-build a heap file by appending `records` to fresh pages on
-    /// `disk`. This is the load path; it writes straight to disk,
-    /// bypassing the buffer pool (as bulk loaders do). Pages are
-    /// checksum-stamped as written.
+    /// Bulk-build a heap file by appending `records` (in document
+    /// order) to fresh pages on `disk`. This is the load path; it
+    /// writes straight to disk, bypassing the buffer pool (as bulk
+    /// loaders do). Pages are checksum-stamped as written.
     pub fn bulk_build(
         disk: &dyn DiskManager,
         records: &[ElementRecord],
     ) -> Result<HeapFile, StorageError> {
-        let mut pages = Vec::new();
-        for chunk in records.chunks(RECORDS_PER_PAGE) {
-            let id = disk.allocate_page()?;
-            let mut page = Page::zeroed();
-            for (slot, rec) in chunk.iter().enumerate() {
-                rec.encode(&mut page, slot);
-            }
-            set_page_record_count(&mut page, chunk.len());
-            page.stamp_checksum();
-            disk.write_page(id, &page)?;
-            pages.push(id);
-        }
-        Ok(HeapFile { pages, len: records.len() as u64 })
+        Ok(HeapFile { list: Posting::write(disk, records)? })
     }
 
     /// Number of records.
     pub fn len(&self) -> u64 {
-        self.len
+        self.list.count()
     }
 
     /// True when the file holds no records.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Number of pages.
     pub fn num_pages(&self) -> usize {
-        self.pages.len()
+        self.list.pages().len()
     }
 
     /// The page ids backing this file, in order.
     pub fn page_ids(&self) -> &[PageId] {
-        &self.pages
+        self.list.pages()
     }
 
     /// Scan every record through the buffer pool, in append order.
     /// The iterator yields `Err` once and then fuses if a page read
     /// fails beyond recovery.
     pub fn scan<'a>(&'a self, pool: &'a BufferPool) -> HeapScan<'a> {
-        HeapScan { file: self, pool, page_idx: 0, slot: 0, current: None, failed: false }
+        self.list.scan(pool)
     }
 }
 
 /// Iterator over a [`HeapFile`] through a buffer pool.
-pub struct HeapScan<'a> {
-    file: &'a HeapFile,
-    pool: &'a BufferPool,
-    page_idx: usize,
-    slot: usize,
-    /// Decoded records of the current page (small buffer so we don't
-    /// hold page pins across iterator steps).
-    current: Option<Arc<Vec<ElementRecord>>>,
-    /// Set after yielding an error; the iterator then fuses.
-    failed: bool,
-}
-
-impl HeapScan<'_> {
-    fn load_page(&mut self) -> Result<bool, StorageError> {
-        while self.page_idx < self.file.pages.len() {
-            let pid = self.file.pages[self.page_idx];
-            let page = self.pool.fetch(pid)?;
-            let n = page_record_count(&page);
-            if n == 0 {
-                self.page_idx += 1;
-                continue;
-            }
-            let mut recs = Vec::with_capacity(n);
-            for slot in 0..n {
-                recs.push(ElementRecord::decode(&page, slot));
-            }
-            self.pool.stats().bump_records(n as u64);
-            self.current = Some(Arc::new(recs));
-            self.slot = 0;
-            return Ok(true);
-        }
-        Ok(false)
-    }
-}
-
-impl Iterator for HeapScan<'_> {
-    type Item = Result<ElementRecord, StorageError>;
-
-    fn next(&mut self) -> Option<Result<ElementRecord, StorageError>> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            if let Some(recs) = &self.current {
-                if self.slot < recs.len() {
-                    let rec = recs[self.slot];
-                    self.slot += 1;
-                    return Some(Ok(rec));
-                }
-                self.current = None;
-                self.page_idx += 1;
-            }
-            match self.load_page() {
-                Ok(true) => continue,
-                Ok(false) => return None,
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-    }
-}
+pub type HeapScan<'a> = RecordCursor<'a>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::disk::InMemoryDisk;
     use crate::iostats::IoStats;
+    use crate::record::RECORDS_PER_PAGE;
     use sjos_xml::{NodeId, Region, Tag};
+    use std::sync::Arc;
 
     fn records(n: u32) -> Vec<ElementRecord> {
         (0..n)

@@ -9,8 +9,9 @@
 //! cost linear in the list size (`f_I * n` in the cost model).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use sjos_xml::Tag;
+use sjos_xml::{Region, Tag};
 
 use crate::buffer::BufferPool;
 use crate::disk::DiskManager;
@@ -25,7 +26,18 @@ pub struct TagIndex {
     postings: HashMap<Tag, Posting>,
 }
 
-/// The pages and cardinality of one tag's list.
+/// Where a document-ordered record list begins and ends on the start
+/// axis, as the directory records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Extent {
+    /// Region of the list's first record.
+    pub first: Region,
+    /// `region.start` of the list's last record.
+    pub last_start: u32,
+}
+
+/// The pages and cardinality of one document-ordered record list: a
+/// tag's list in the index, or every element in the heap file.
 #[derive(Debug, Clone)]
 pub struct Posting {
     pages: Vec<PageId>,
@@ -35,6 +47,59 @@ pub struct Posting {
     /// instead of reading the whole list.
     first_starts: Vec<u32>,
     count: u64,
+    /// `None` for an empty list.
+    extent: Option<Extent>,
+}
+
+impl Posting {
+    /// Pack `records` (in document order) onto fresh pages of `disk`,
+    /// checksum-stamped as written — the one page writer behind both
+    /// bulk loaders. It writes straight to disk, bypassing the buffer
+    /// pool, as bulk loaders do.
+    pub(crate) fn write(
+        disk: &dyn DiskManager,
+        records: &[ElementRecord],
+    ) -> Result<Posting, StorageError> {
+        debug_assert!(
+            records.windows(2).all(|w| w[0].region.start < w[1].region.start),
+            "record list must be in document order"
+        );
+        let n_pages = records.len().div_ceil(RECORDS_PER_PAGE);
+        let mut pages = Vec::with_capacity(n_pages);
+        let mut first_starts = Vec::with_capacity(n_pages);
+        for chunk in records.chunks(RECORDS_PER_PAGE) {
+            let id = disk.allocate_page()?;
+            let mut page = Page::zeroed();
+            for (slot, rec) in chunk.iter().enumerate() {
+                rec.encode(&mut page, slot);
+            }
+            set_page_record_count(&mut page, chunk.len());
+            page.stamp_checksum();
+            disk.write_page(id, &page)?;
+            first_starts.push(chunk[0].region.start);
+            pages.push(id);
+        }
+        let extent = records
+            .first()
+            .zip(records.last())
+            .map(|(first, last)| Extent { first: first.region, last_start: last.region.start });
+        Ok(Posting { pages, first_starts, count: records.len() as u64, extent })
+    }
+
+    /// The pages, in document order.
+    pub(crate) fn pages(&self) -> &[PageId] {
+        &self.pages
+    }
+
+    /// Number of records.
+    pub(crate) fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Scan every record through `pool`, in document order.
+    pub(crate) fn scan<'a>(&'a self, pool: &'a BufferPool) -> RecordCursor<'a> {
+        RecordCursor::new(&self.pages, pool, 0, u32::MAX)
+    }
 }
 
 impl TagIndex {
@@ -55,26 +120,7 @@ impl TagIndex {
         let mut tags: Vec<Tag> = by_tag.keys().copied().collect();
         tags.sort_unstable();
         for tag in tags {
-            let recs = &by_tag[&tag];
-            debug_assert!(
-                recs.windows(2).all(|w| w[0].region.start < w[1].region.start),
-                "tag list must be in document order"
-            );
-            let mut pages = Vec::new();
-            let mut first_starts = Vec::new();
-            for chunk in recs.chunks(RECORDS_PER_PAGE) {
-                let id = disk.allocate_page()?;
-                let mut page = Page::zeroed();
-                for (slot, rec) in chunk.iter().enumerate() {
-                    rec.encode(&mut page, slot);
-                }
-                set_page_record_count(&mut page, chunk.len());
-                page.stamp_checksum();
-                disk.write_page(id, &page)?;
-                first_starts.push(chunk[0].region.start);
-                pages.push(id);
-            }
-            postings.insert(tag, Posting { pages, first_starts, count: recs.len() as u64 });
+            postings.insert(tag, Posting::write(disk, &by_tag[&tag])?);
         }
         Ok(TagIndex { postings })
     }
@@ -94,6 +140,12 @@ impl TagIndex {
         self.postings.get(&tag).map_or(0, |p| p.count)
     }
 
+    /// The directory's extent of `tag`'s list (`None` if absent) —
+    /// known without reading a page.
+    pub fn extent(&self, tag: Tag) -> Option<Extent> {
+        self.postings.get(&tag).and_then(|p| p.extent)
+    }
+
     /// Tags present in the index.
     pub fn tags(&self) -> impl Iterator<Item = Tag> + '_ {
         self.postings.keys().copied()
@@ -108,16 +160,7 @@ impl TagIndex {
     /// iterator yields `Err` once and then fuses if a page read fails
     /// beyond recovery.
     pub fn scan<'a>(&'a self, pool: &'a BufferPool, tag: Tag) -> IndexScanIter<'a> {
-        IndexScanIter {
-            pages: self.pages(tag),
-            pool,
-            page_idx: 0,
-            buffered: Vec::new(),
-            buf_pos: 0,
-            failed: false,
-            hi: u32::MAX,
-            skip_below: 0,
-        }
+        RecordCursor::new(self.pages(tag), pool, 0, u32::MAX)
     }
 
     /// Scan the slice of `tag`'s list whose `region.start` falls in
@@ -147,78 +190,91 @@ impl TagIndex {
         let begin = first_starts.partition_point(|&s| s <= lo).saturating_sub(1);
         let end = first_starts.partition_point(|&s| s < hi);
         let pages = if begin < end { &pages[begin..end] } else { &[][..] };
-        IndexScanIter {
-            pages,
-            pool,
-            page_idx: 0,
-            buffered: Vec::new(),
-            buf_pos: 0,
-            failed: false,
-            hi,
-            skip_below: lo,
-        }
+        RecordCursor::new(pages, pool, lo, hi)
     }
 }
 
 /// Iterator over one tag's posting list.
-pub struct IndexScanIter<'a> {
+pub type IndexScanIter<'a> = RecordCursor<'a>;
+
+/// The one scan cursor over a run of record pages, shared by index and
+/// heap scans. It takes each page as a [`BufferPool::fetch_snapshot`]
+/// (no pin is held between calls) and decodes records from it in
+/// place, one per step.
+pub struct RecordCursor<'a> {
     pages: &'a [PageId],
     pool: &'a BufferPool,
-    page_idx: usize,
-    buffered: Vec<ElementRecord>,
-    buf_pos: usize,
-    failed: bool,
+    /// Index of the next page to fetch.
+    next_page: usize,
+    /// The current page snapshot and its record count.
+    page: Option<Arc<Page>>,
+    count: usize,
+    slot: usize,
+    /// Set once the scan is over (error yielded, or past `hi`).
+    done: bool,
+    /// Records with `region.start` below this are skipped (only the
+    /// leading boundary page of a range scan has any).
+    skip_below: u32,
     /// Exclusive upper bound on `region.start`: the scan fuses at the
     /// first record at or past it (`u32::MAX` = unbounded, and region
     /// starts are always below `u32::MAX`, so a full scan never fuses
     /// early).
     hi: u32,
-    /// Records with `region.start` below this are skipped (only the
-    /// leading boundary page of a range scan has any).
-    skip_below: u32,
 }
 
-impl Iterator for IndexScanIter<'_> {
+impl<'a> RecordCursor<'a> {
+    fn new(pages: &'a [PageId], pool: &'a BufferPool, skip_below: u32, hi: u32) -> Self {
+        RecordCursor {
+            pages,
+            pool,
+            next_page: 0,
+            page: None,
+            count: 0,
+            slot: 0,
+            done: false,
+            skip_below,
+            hi,
+        }
+    }
+}
+
+impl Iterator for RecordCursor<'_> {
     type Item = Result<ElementRecord, StorageError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Result<ElementRecord, StorageError>> {
-        if self.failed {
-            return None;
-        }
         loop {
-            if self.buf_pos < self.buffered.len() {
-                let rec = self.buffered[self.buf_pos];
-                self.buf_pos += 1;
+            if self.done {
+                return None;
+            }
+            if let Some(page) = self.page.as_deref().filter(|_| self.slot < self.count) {
+                let rec = ElementRecord::decode(page, self.slot);
+                self.slot += 1;
                 if rec.region.start < self.skip_below {
                     continue;
                 }
                 if rec.region.start >= self.hi {
                     // Document order: everything after is out of range.
-                    self.failed = true;
+                    self.done = true;
                     return None;
                 }
                 return Some(Ok(rec));
             }
-            if self.page_idx >= self.pages.len() {
-                return None;
-            }
-            let pid = self.pages[self.page_idx];
-            self.page_idx += 1;
-            let page = match self.pool.fetch(pid) {
-                Ok(p) => p,
+            let &pid = self.pages.get(self.next_page)?;
+            self.next_page += 1;
+            match self.pool.fetch_snapshot(pid) {
+                Ok(page) => {
+                    self.count = page_record_count(&page);
+                    self.slot = 0;
+                    self.pool.stats().bump_records(self.count as u64);
+                    self.page = Some(page);
+                }
                 Err(e) => {
-                    self.failed = true;
+                    self.done = true;
+                    self.page = None;
                     return Some(Err(e));
                 }
-            };
-            let n = page_record_count(&page);
-            self.buffered.clear();
-            self.buffered.reserve(n);
-            for slot in 0..n {
-                self.buffered.push(ElementRecord::decode(&page, slot));
             }
-            self.pool.stats().bump_records(n as u64);
-            self.buf_pos = 0;
         }
     }
 }

@@ -43,7 +43,7 @@ pub use disk::{DiskManager, FileDisk, InMemoryDisk};
 pub use error::StorageError;
 pub use fault::{FaultPlan, FaultyDisk};
 pub use heap::HeapFile;
-pub use index::TagIndex;
+pub use index::{Extent, TagIndex};
 pub use iostats::{IoSnapshot, IoStats, IoTap};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use record::ElementRecord;

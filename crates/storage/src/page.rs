@@ -9,6 +9,10 @@ pub const PAGE_SIZE: usize = 8192;
 /// reserved `u32` at bytes 4..8.
 pub const CHECKSUM_OFFSET: usize = 4;
 
+/// Independent lanes of [`Page::compute_checksum`]. Sixteen `u32`
+/// lanes fill a 64-byte block, so the per-word loop vectorises.
+const CHECKSUM_LANES: usize = 16;
+
 /// Identifier of a page on disk (dense, starting at 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u32);
@@ -76,17 +80,41 @@ impl Page {
         self.data[off..off + 8].copy_from_slice(&v.to_le_bytes());
     }
 
-    /// FNV-1a over every byte except the checksum field itself,
-    /// mapped away from 0 (0 is reserved to mean "unstamped").
+    /// Checksum of the page: a multiply-xor over its little-endian
+    /// `u32` words in [`CHECKSUM_LANES`] independent lanes (word `i`
+    /// feeds lane `i % CHECKSUM_LANES`), the lanes then folded one by
+    /// one. The checksum word itself reads as 0, and a result of 0 is
+    /// mapped to 1 (0 is reserved to mean "unstamped").
+    ///
+    /// Every step `h = (h ^ w) * M` with odd `M` is a bijection mod
+    /// 2³² in both `h` and `w`, so changing any one word — any damage
+    /// confined to 4 aligned bytes, such as the single-byte flip
+    /// [`crate::fault::FaultyDisk`] injects — changes the raw sum.
+    /// The one blind spot is the 0 → 1 mapping: a change that moves
+    /// the raw sum between exactly 0 and 1 goes unseen.
     pub fn compute_checksum(&self) -> u32 {
-        let mut h: u32 = 0x811c_9dc5;
-        for (i, &b) in self.data.iter().enumerate() {
-            if (CHECKSUM_OFFSET..CHECKSUM_OFFSET + 4).contains(&i) {
-                continue;
+        const SEED: u32 = 0x811c_9dc5;
+        const MUL: u32 = 0x9e37_79b1;
+        const CHUNK: usize = 4 * CHECKSUM_LANES;
+        fn mix(lanes: &mut [u32; CHECKSUM_LANES], chunk: &[u8]) {
+            for (h, w) in lanes.iter_mut().zip(chunk.chunks_exact(4)) {
+                let w = u32::from_le_bytes(w.try_into().expect("chunks_exact(4) yields 4 bytes"));
+                *h = (*h ^ w).wrapping_mul(MUL);
             }
-            h ^= u32::from(b);
-            h = h.wrapping_mul(0x0100_0193);
         }
+        let mut lanes = [0u32; CHECKSUM_LANES];
+        for (j, h) in lanes.iter_mut().enumerate() {
+            *h = SEED.wrapping_add(j as u32);
+        }
+        let (head, rest) = self.data.split_at(CHUNK);
+        let mut first = [0u8; CHUNK];
+        first.copy_from_slice(head);
+        first[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 4].fill(0);
+        mix(&mut lanes, &first);
+        for chunk in rest.chunks_exact(CHUNK) {
+            mix(&mut lanes, chunk);
+        }
+        let h = lanes.iter().fold(SEED, |acc, &h| (acc ^ h).wrapping_mul(MUL));
         if h == 0 {
             1
         } else {
@@ -171,6 +199,27 @@ mod tests {
         assert!(!p.verify_checksum(), "bit flip must be detected");
         p.data[64] ^= 0xFF;
         assert!(p.verify_checksum(), "restoring the byte restores validity");
+    }
+
+    #[test]
+    fn every_single_byte_change_is_detected() {
+        let mut patterned = Page::zeroed();
+        for (i, b) in patterned.data.iter_mut().enumerate() {
+            *b = (i * 31 % 251) as u8;
+        }
+        for mut p in [Page::zeroed(), patterned] {
+            p.stamp_checksum();
+            assert!(p.verify_checksum());
+            let payload =
+                (0..PAGE_SIZE).filter(|o| !(CHECKSUM_OFFSET..CHECKSUM_OFFSET + 4).contains(o));
+            for off in payload {
+                for mask in [0x01u8, 0x5A, 0xFF] {
+                    p.data[off] ^= mask;
+                    assert!(!p.verify_checksum(), "flip {mask:#04x} at byte {off} went unseen");
+                    p.data[off] ^= mask;
+                }
+            }
+        }
     }
 
     #[test]

@@ -51,18 +51,23 @@ impl ElementRecord {
     }
 
     /// Decode from `page` at `slot`.
+    #[inline]
     pub fn decode(page: &Page, slot: usize) -> ElementRecord {
         assert!(slot < RECORDS_PER_PAGE, "slot {slot} out of range");
         let off = PAGE_HEADER_SIZE + slot * RECORD_SIZE;
+        let b: &[u8; RECORD_SIZE] = page.data[off..off + RECORD_SIZE]
+            .try_into()
+            .expect("a slice of RECORD_SIZE bytes converts to the array");
+        let u32_at = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
         ElementRecord {
-            node: NodeId(page.read_u32(off)),
+            node: NodeId(u32_at(0)),
             region: Region {
-                start: page.read_u32(off + 4),
-                end: page.read_u32(off + 8),
-                level: page.read_u16(off + 12),
+                start: u32_at(4),
+                end: u32_at(8),
+                level: u16::from_le_bytes([b[12], b[13]]),
             },
-            tag: Tag(page.read_u32(off + 16)),
-            value_hash: page.read_u64(off + 20),
+            tag: Tag(u32_at(16)),
+            value_hash: u64::from(u32_at(20)) | u64::from(u32_at(24)) << 32,
         }
     }
 }

@@ -20,9 +20,10 @@ use sjos::datagen::{
 };
 use sjos::{Algorithm, Database, EngineError, GuardBreach, QueryGuard, BATCH_ROWS};
 use sjos_exec::{
-    execute_parallel, execute_parallel_opts, partition_regions, scatter, stitch, ParallelPolicy,
+    execute_parallel, execute_parallel_opts, partition_regions, scatter, stitch,
+    straddles_every_cut, ParallelPolicy,
 };
-use sjos_storage::{IoStats, IoTap};
+use sjos_storage::{Extent, IoStats, IoTap};
 use sjos_xml::Region;
 
 /// Worker counts under test; 1 must be the serial engine itself.
@@ -211,8 +212,36 @@ fn region_lists() -> impl Strategy<Value = Vec<Vec<Region>>> {
     )
 }
 
+/// [`region_lists`] with every start moved up by one and, in front
+/// of the first list, a record at start 0 whose end is drawn across
+/// the whole axis — so the directory refusal fires in a good share of
+/// cases and misses narrowly in others.
+fn lists_with_leading_span() -> impl Strategy<Value = Vec<Vec<Region>>> {
+    (region_lists(), 0u32..6_000).prop_map(|(mut lists, end)| {
+        for r in lists.iter_mut().flatten() {
+            r.start += 1;
+            r.end += 1;
+        }
+        lists[0].insert(0, Region { start: 0, end, level: 0 });
+        lists
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The directory-only refusal is exact: whenever the lists'
+    /// extents say no cut can exist, the streaming chooser finds none.
+    #[test]
+    fn directory_refusal_implies_no_cut(lists in lists_with_leading_span(), target in 2usize..12) {
+        let extents: Vec<Extent> = lists
+            .iter()
+            .filter_map(|l| Some(Extent { first: *l.first()?, last_start: l.last()?.start }))
+            .collect();
+        if straddles_every_cut(&extents) {
+            prop_assert!(partition_regions(&lists, target).cuts.is_empty());
+        }
+    }
 
     /// The partitioner's cuts are strictly increasing and *valid*: no
     /// record in any input list straddles any cut, so scattering by
