@@ -61,12 +61,16 @@ pub fn optimize_dp_traced(
         }
         return Ok((plan, cost));
     }
-    let mut current: HashMap<StatusKey, Status> = HashMap::new();
-    current.insert(start.key(), start);
+    // Each level keeps its statuses in first-derivation order (the map
+    // only indexes into the vector), so which of two equal-cost
+    // derivations survives, and which tied final status wins, is the
+    // same on every run.
+    let mut current: Vec<Status> = vec![start];
     let levels = ctx.pattern.edge_count();
     for _lv in 0..levels {
-        let mut next: HashMap<StatusKey, Status> = HashMap::new();
-        for status in current.values() {
+        let mut next: Vec<Status> = Vec::new();
+        let mut index: HashMap<StatusKey, usize> = HashMap::new();
+        for status in &current {
             for succ in ctx.expand_all_orderings(status) {
                 // Snapshot the trace fields before the entry consumes
                 // the status; the untraced path pays nothing.
@@ -75,17 +79,19 @@ pub fn optimize_dp_traced(
                 } else {
                     None
                 };
-                let dominated_by = match next.entry(succ.key()) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        if succ.cost < e.get().cost {
-                            e.insert(succ);
+                let dominated_by = match index.entry(succ.key()) {
+                    std::collections::hash_map::Entry::Occupied(e) => {
+                        let kept = &mut next[*e.get()];
+                        if succ.cost < kept.cost {
+                            *kept = succ;
                             None
                         } else {
-                            Some(e.get().cost)
+                            Some(kept.cost)
                         }
                     }
                     std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(succ);
+                        e.insert(next.len());
+                        next.push(succ);
                         None
                     }
                 };
@@ -101,7 +107,7 @@ pub fn optimize_dp_traced(
         current = next;
     }
     let mut finalized = Vec::with_capacity(current.len());
-    for status in current.values() {
+    for status in &current {
         let (plan, cost) = ctx.finalize(status);
         emit(&mut trace, TraceEvent::Finalized { key: status.key(), cost });
         finalized.push((plan, cost));

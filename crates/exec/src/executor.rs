@@ -4,6 +4,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sjos_pattern::{Pattern, PnId, ValuePredicate};
+use sjos_storage::index::RecordCursor;
 use sjos_storage::record::value_digest;
 use sjos_storage::XmlStore;
 
@@ -322,35 +323,26 @@ fn build_scan<'a>(
     let filter = pat_node.predicate.as_ref().map(|p| match p {
         ValuePredicate::Equals(v) => value_digest(v),
     });
-    if pat_node.is_wildcard() {
+    let cursor = if pat_node.is_wildcard() {
         // Wildcard: every element, via the heap file. The partitioner
         // never cuts a wildcard plan (the root's interval straddles
-        // any cut), but a range here stays correct regardless: filter
-        // the document-ordered heap stream by start.
-        return match range {
-            None => IndexScanOp::new(pnode, store.scan_all(), filter, Arc::clone(metrics)),
-            Some((lo, hi)) => IndexScanOp::new(
-                pnode,
-                store
-                    .scan_all()
-                    .filter(move |r| r.as_ref().map_or(true, |r| r.region.start >= lo))
-                    .take_while(move |r| r.as_ref().map_or(true, |r| r.region.start < hi)),
-                filter,
-                Arc::clone(metrics),
-            ),
-        };
-    }
-    match store.document().tag(&pat_node.tag) {
-        Some(t) => {
-            let iter = match range {
+        // any cut), but a range here stays correct regardless: the
+        // cursor drops the heap records outside it.
+        match range {
+            None => store.scan_all(),
+            Some((lo, hi)) => store.scan_all_range(lo, hi),
+        }
+    } else {
+        match store.document().tag(&pat_node.tag) {
+            Some(t) => match range {
                 None => store.scan_tag(t),
                 Some((lo, hi)) => store.scan_tag_range(t, lo, hi),
-            };
-            IndexScanOp::new(pnode, iter, filter, Arc::clone(metrics))
+            },
+            // A tag absent from the document scans an empty list.
+            None => RecordCursor::empty(store.pool()),
         }
-        // A tag absent from the document scans an empty list.
-        None => IndexScanOp::new(pnode, std::iter::empty(), filter, Arc::clone(metrics)),
-    }
+    };
+    IndexScanOp::new(pnode, cursor, filter, Arc::clone(metrics))
 }
 
 #[cfg(test)]

@@ -15,21 +15,35 @@
 //!   when the stack bottom pops (the buffering that gives the
 //!   algorithm its extra I/O cost term in the paper's model).
 //!
-//! The merge loop itself stays tuple-granular (the algorithms are
-//! inherently cursor-based), but inputs arrive and output leaves in
-//! columnar [`TupleBatch`]es, and the stack/buffer/output metric
-//! counters are accumulated locally and flushed with one atomic add
-//! per counter per batch — the totals are bit-identical to the
-//! tuple-at-a-time engine for every batch size.
+//! The merge loop stays tuple-granular on its *inputs* (the algorithms
+//! are inherently cursor-based), but it emits column at a time. The
+//! stack is column-major — one `Vec<Entry>` per left column — and a
+//! descendant's matches are always one contiguous range at the top of
+//! it: every stack entry is a proper ancestor of the descendant, so
+//! for `//` the range is the whole stack, and for `/` it is the top
+//! run whose ancestor level is the descendant's level minus one (lower
+//! entries have strictly smaller levels; equal levels only repeat one
+//! node, as when the left input carries an ancestor row once per
+//! earlier match). Stack-Tree-Desc therefore emits one descendant's
+//! matches with one slice copy per left column and one fill per right
+//! column, and Stack-Tree-Anc creates pairs for exactly that range.
 //!
-//! Nothing in the merge loop allocates per row. Stack rows live in one
-//! flat `Vec<Entry>` (stride = left width), copied straight from the
-//! input batch. Anc's pairs live in one append-only `PairArena`;
-//! the self, inherit and ready lists are linked lists over it, so
-//! handing a popped entry's pairs down the stack is an O(1) splice, as
-//! in the paper, rather than a copy per nesting level. The arena
-//! empties whenever `ready` drains: pairs reach `ready` only when the
-//! stack bottom pops, so at that moment no stack entry holds a pair.
+//! Nothing in the merge loop allocates per row or touches an atomic
+//! per row. The stack/buffer/output counters are accumulated locally
+//! and flushed with one atomic add per counter per batch, and the
+//! live-byte changes (stack entries, buffered Anc pairs) are kept as a
+//! local net sum and running high point ([`LiveBytes`]) that reach
+//! [`ExecMetrics`] as one reserve and one release before any child
+//! pull, before a batch or an error returns, and on drop. No other
+//! operator of the same execution runs between those points, so
+//! `peak_bytes` and the final total come out exactly as per-row
+//! updates leave them, at every batch size. Anc's pairs live in one
+//! append-only `PairArena`; the self, inherit and ready lists are
+//! linked lists over it, so handing a popped entry's pairs down the
+//! stack is an O(1) splice, as in the paper, rather than a copy per
+//! nesting level. The arena empties whenever `ready` drains: pairs
+//! reach `ready` only when the stack bottom pops, so at that moment no
+//! stack entry holds a pair.
 //!
 //! The merge loop additionally keeps its counters *partition-exact*:
 //! every left tuple consumed is pushed (and eventually popped) even
@@ -83,13 +97,18 @@ impl PairArena {
     }
 
     /// Store the pair `anc ++ desc` at the end of `list`.
-    fn push(&mut self, list: &mut PairList, anc: &[Entry], desc: &[Entry]) {
+    fn push(
+        &mut self,
+        list: &mut PairList,
+        anc: impl Iterator<Item = Entry>,
+        desc: impl Iterator<Item = Entry>,
+    ) {
         let k = u32::try_from(self.next.len())
             .ok()
             .filter(|&k| k < NIL)
             .expect("pair arena index overflow");
-        self.entries.extend_from_slice(anc);
-        self.entries.extend_from_slice(desc);
+        self.entries.extend(anc);
+        self.entries.extend(desc);
         self.next.push(NIL);
         *list = self.concat(*list, PairList { head: k, tail: k, len: 1 });
     }
@@ -127,6 +146,47 @@ struct AncLists {
     inherited: PairList,
 }
 
+/// The join's live-byte changes not yet applied to [`ExecMetrics`]:
+/// a net sum and its running high point since the last flush.
+#[derive(Default)]
+struct LiveBytes {
+    /// Bytes already applied as live (released on drop).
+    applied: u64,
+    /// Net change since the last flush.
+    net: i64,
+    /// Highest value `net` reached since the last flush (never below
+    /// zero: the flush point itself counts).
+    high: i64,
+}
+
+impl LiveBytes {
+    #[inline]
+    fn reserve(&mut self, bytes: u64) {
+        self.net += bytes as i64;
+        self.high = self.high.max(self.net);
+    }
+
+    #[inline]
+    fn release(&mut self, bytes: u64) {
+        self.net -= bytes as i64;
+    }
+
+    /// Apply the pending changes as one reserve (to the high point)
+    /// and one release (back down to the net): the shared total and
+    /// its peak end exactly where per-change updates would leave them.
+    fn flush(&mut self, metrics: &ExecMetrics) {
+        if self.high > 0 {
+            metrics.reserve_bytes(self.high as u64);
+        }
+        if self.high > self.net {
+            metrics.release_bytes((self.high - self.net) as u64);
+        }
+        self.applied = self.applied.saturating_add_signed(self.net);
+        self.net = 0;
+        self.high = 0;
+    }
+}
+
 /// A structural join operator (either stack-tree variant).
 pub struct StackTreeJoinOp<'a> {
     left: InputCursor<'a>,
@@ -136,24 +196,21 @@ pub struct StackTreeJoinOp<'a> {
     /// Column index of the descendant-side join node in the right
     /// input.
     right_col: usize,
-    /// Width of the left input (offset of right columns in output).
-    left_width: usize,
     axis: Axis,
     algo: JoinAlgo,
     schema: Arc<Schema>,
     metrics: Arc<ExecMetrics>,
     guard: Option<Arc<QueryGuard>>,
 
-    /// The ancestor stack: row `i` is `stack[i * left_width..]`.
-    stack: Vec<Entry>,
+    /// The ancestor stack, column-major: `stack[c][i]` is column `c`
+    /// of the `i`-th entry from the bottom.
+    stack: Vec<Vec<Entry>>,
     /// Anc: the pair lists of each stack entry (parallel to `stack`).
     lists: Vec<AncLists>,
     /// Anc: every buffered pair.
     arena: PairArena,
     /// Anc: completed output awaiting delivery.
     ready: PairList,
-    /// Reused copy of the right tuple being consumed.
-    scratch_right: Vec<Entry>,
     done: bool,
     batch_rows: usize,
 
@@ -165,12 +222,11 @@ pub struct StackTreeJoinOp<'a> {
     /// reported to the guard — the delta is reserved once per batch.
     pairs_created: u64,
     pairs_reserved: u64,
-    /// Bytes currently accounted to [`ExecMetrics`] as live (stack
-    /// entries plus buffered Anc pairs); the remainder is released on
-    /// drop. Unlike the guard's cumulative reservation this tracks
-    /// the instantaneous footprint, so it shrinks as pairs leave via
+    /// Live bytes of stack entries plus buffered Anc pairs. Unlike
+    /// the guard's cumulative reservation this tracks the
+    /// instantaneous footprint, so it shrinks as pairs leave via
     /// `ready` and stack entries pop.
-    metrics_live_bytes: u64,
+    live: LiveBytes,
 }
 
 impl<'a> StackTreeJoinOp<'a> {
@@ -209,17 +265,15 @@ impl<'a> StackTreeJoinOp<'a> {
             right: InputCursor::new(right, right_col),
             left_col,
             right_col,
-            left_width,
             axis,
             algo,
             arena: PairArena::new(schema.width()),
             schema,
             metrics,
             guard: None,
-            stack: Vec::new(),
+            stack: vec![Vec::new(); left_width],
             lists: Vec::new(),
             ready: PairList::EMPTY,
-            scratch_right: Vec::new(),
             done: false,
             batch_rows: BATCH_ROWS,
             c_pushes: 0,
@@ -227,7 +281,7 @@ impl<'a> StackTreeJoinOp<'a> {
             c_buffered: 0,
             pairs_created: 0,
             pairs_reserved: 0,
-            metrics_live_bytes: 0,
+            live: LiveBytes::default(),
         })
     }
 
@@ -247,14 +301,23 @@ impl<'a> StackTreeJoinOp<'a> {
         self
     }
 
-    /// Start of the current left tuple's ancestor-column region.
+    /// Start of the current left tuple's ancestor-column region. A
+    /// pull may run the operators below, so pending live bytes are
+    /// applied first.
     fn left_start(&mut self) -> Result<Option<u32>, EngineError> {
+        if self.left.must_pull() {
+            self.live.flush(&self.metrics);
+        }
         let col = self.left_col;
         Ok(self.left.peek()?.map(|(b, r)| b.entry(col, r).region.start))
     }
 
-    /// Start of the current right tuple's descendant-column region.
+    /// Start of the current right tuple's descendant-column region
+    /// (flushing live bytes before a pull, as [`Self::left_start`]).
     fn right_start(&mut self) -> Result<Option<u32>, EngineError> {
+        if self.right.must_pull() {
+            self.live.flush(&self.metrics);
+        }
         let col = self.right_col;
         Ok(self.right.peek()?.map(|(b, r)| b.entry(col, r).region.start))
     }
@@ -262,13 +325,13 @@ impl<'a> StackTreeJoinOp<'a> {
     /// Number of entries on the stack.
     #[inline]
     fn depth(&self) -> usize {
-        self.stack.len() / self.left_width
+        self.stack[self.left_col].len()
     }
 
     /// Bytes of one stack entry's tuple.
     #[inline]
     fn stack_entry_bytes(&self) -> u64 {
-        (self.left_width * std::mem::size_of::<Entry>()) as u64
+        (self.stack.len() * std::mem::size_of::<Entry>()) as u64
     }
 
     /// Bytes of one buffered output pair.
@@ -277,55 +340,38 @@ impl<'a> StackTreeJoinOp<'a> {
         (self.schema.width() * std::mem::size_of::<Entry>()) as u64
     }
 
-    #[inline]
-    fn reserve_live(&mut self, bytes: u64) {
-        if bytes > 0 {
-            self.metrics.reserve_bytes(bytes);
-            self.metrics_live_bytes += bytes;
-        }
-    }
-
-    #[inline]
-    fn release_live(&mut self, bytes: u64) {
-        if bytes > 0 {
-            self.metrics.release_bytes(bytes);
-            self.metrics_live_bytes = self.metrics_live_bytes.saturating_sub(bytes);
-        }
-    }
-
     /// Pop every stack entry whose interval ends before `pos`.
     fn pop_before(&mut self, pos: u32) {
-        let mut popped = 0u64;
-        while let Some(top) = self.stack.len().checked_sub(self.left_width) {
-            if self.stack[top + self.left_col].region.end < pos {
-                self.pop_one();
-                popped += 1;
-            } else {
-                break;
-            }
-        }
-        // Releases only lower the live total, so one release for the
-        // whole run leaves the peak exactly as per-entry releases do.
-        self.release_live(popped * self.stack_entry_bytes());
+        let ancs = &self.stack[self.left_col];
+        let keep = ancs.iter().rposition(|a| a.region.end >= pos).map_or(0, |i| i + 1);
+        self.pop_to(keep);
     }
 
-    /// Pop the top entry, routing its buffered pairs (Anc). The
-    /// caller releases the entry's live bytes.
-    fn pop_one(&mut self) {
-        // Invariant: both call sites check the stack is non-empty
-        // (`pop_before` peeks the top, `step` pops `depth()` times).
-        let top = self.stack.len().checked_sub(self.left_width).expect("pop from empty stack");
-        self.stack.truncate(top);
-        self.c_pops += 1;
+    /// Pop entries until `keep` remain, routing their buffered pairs
+    /// (Anc) and releasing their live bytes.
+    fn pop_to(&mut self, keep: usize) {
+        let popped = self.depth() - keep;
+        if popped == 0 {
+            return;
+        }
+        for col in &mut self.stack {
+            col.truncate(keep);
+        }
+        self.c_pops += popped as u64;
+        self.live.release(popped as u64 * self.stack_entry_bytes());
         if self.algo == JoinAlgo::StackTreeAnc {
-            let entry = self.lists.pop().expect("pair lists parallel the stack");
-            let pairs = self.arena.concat(entry.own, entry.inherited);
-            match self.lists.last_mut() {
-                Some(below) => {
-                    self.c_buffered += pairs.len as u64;
-                    below.inherited = self.arena.concat(below.inherited, pairs);
+            // Top down: each popped entry's pairs follow those it
+            // inherited, and go to the entry below it.
+            for _ in 0..popped {
+                let entry = self.lists.pop().expect("pair lists parallel the stack");
+                let pairs = self.arena.concat(entry.own, entry.inherited);
+                match self.lists.last_mut() {
+                    Some(below) => {
+                        self.c_buffered += pairs.len as u64;
+                        below.inherited = self.arena.concat(below.inherited, pairs);
+                    }
+                    None => self.ready = self.arena.concat(self.ready, pairs),
                 }
-                None => self.ready = self.arena.concat(self.ready, pairs),
             }
         }
     }
@@ -333,10 +379,12 @@ impl<'a> StackTreeJoinOp<'a> {
     /// Push the current left row (the caller has peeked it).
     fn push_left(&mut self) -> Result<(), EngineError> {
         let (batch, row) = self.left.peek()?.expect("left row present");
-        batch.append_row_to(row, &mut self.stack);
+        for (c, col) in self.stack.iter_mut().enumerate() {
+            col.push(batch.entry(c, row));
+        }
         self.left.advance();
         self.c_pushes += 1;
-        self.reserve_live(self.stack_entry_bytes());
+        self.live.reserve(self.stack_entry_bytes());
         if self.algo == JoinAlgo::StackTreeAnc {
             self.lists.push(AncLists { own: PairList::EMPTY, inherited: PairList::EMPTY });
         }
@@ -353,15 +401,16 @@ impl<'a> StackTreeJoinOp<'a> {
                     self.pop_before(a_start);
                     self.push_left()?;
                 } else {
-                    self.consume_right(out)?;
+                    self.consume_right(d_start, out)?;
                 }
             }
-            (None, Some(_)) => {
-                self.consume_right(out)?;
+            (None, Some(d_start)) => {
+                self.consume_right(d_start, out)?;
                 // Once the stack is empty with the left side done, no
                 // later descendant can match; run the abandoned right
                 // side out so total work is batch-size-independent.
-                if self.stack.is_empty() {
+                if self.depth() == 0 {
+                    self.live.flush(&self.metrics);
                     self.right.exhaust()?;
                     self.done = true;
                 }
@@ -380,72 +429,66 @@ impl<'a> StackTreeJoinOp<'a> {
             // Both sides done: flush the remaining stack (Anc pair
             // routing included) and stop.
             (None, None) => {
-                let depth = self.depth() as u64;
-                for _ in 0..depth {
-                    self.pop_one();
-                }
-                self.release_live(depth * self.stack_entry_bytes());
+                self.pop_to(0);
                 self.done = true;
             }
         }
         Ok(())
     }
 
-    /// Process the current right tuple against the stack.
-    fn consume_right(&mut self, out: &mut TupleBatch) -> Result<(), EngineError> {
-        // Invariant: every caller has just peeked a right row.
-        let d_start = self.right_start()?.expect("right row present");
+    /// Process the current right tuple (starting at `d_start`) against
+    /// the stack.
+    fn consume_right(&mut self, d_start: u32, out: &mut TupleBatch) -> Result<(), EngineError> {
         self.pop_before(d_start);
-        {
-            let (batch, row) = self.right.peek()?.expect("right row present");
-            self.scratch_right.clear();
-            batch.append_row_to(row, &mut self.scratch_right);
-        }
-        self.right.advance();
-        let lw = self.left_width;
-        // Containment is implied by stack membership; only the level
-        // test remains for `/`.
-        let d_level = self.scratch_right[self.right_col].region.level;
-        let (axis, left_col) = (self.axis, self.left_col);
-        let axis_ok =
-            |a: &[Entry]| axis == Axis::Descendant || a[left_col].region.level + 1 == d_level;
+        // Invariant: every caller has just peeked a right row, so this
+        // peek does not pull.
+        let (batch, row) = self.right.peek()?.expect("right row present");
+        // Every stack entry now contains the descendant, so the
+        // matches are a top range of the stack (module docs).
+        let ancs = &self.stack[self.left_col];
+        let first = match self.axis {
+            Axis::Descendant => 0,
+            Axis::Child => {
+                let parent = batch.entry(self.right_col, row).region.level.checked_sub(1);
+                ancs.iter().rposition(|a| Some(a.region.level) != parent).map_or(0, |i| i + 1)
+            }
+        };
+        let matches = ancs.len() - first;
         match self.algo {
             JoinAlgo::StackTreeDesc => {
                 // Emit bottom-up so each descendant's pairs leave in
-                // ancestor order, matching the tuple-engine's lazy
-                // stack walk. The capacity starts at the target, so
-                // matches that do not fit end the batch: grow once, by
-                // exactly their number, and a kept batch carries no
-                // doubling slack. Matches are counted only when the
-                // stack depth, their upper bound, would not fit.
-                if out.len() + self.depth() > out.capacity() {
-                    let matches = self.stack.chunks_exact(lw).filter(|a| axis_ok(a)).count();
-                    if out.len() + matches > out.capacity() {
-                        out.reserve_exact(matches);
-                    }
+                // ancestor order. The capacity starts at the target,
+                // so matches that do not fit end the batch: grow once,
+                // by exactly their number, and a kept batch carries no
+                // doubling slack.
+                if out.len() + matches > out.capacity() {
+                    out.reserve_exact(matches);
                 }
-                for a in self.stack.chunks_exact(lw) {
-                    if axis_ok(a) {
-                        out.push_concat(a, &self.scratch_right);
-                    }
+                let left_width = self.stack.len();
+                for (c, col) in self.stack.iter().enumerate() {
+                    out.column_mut(c).extend_from_slice(&col[first..]);
+                }
+                for c in 0..batch.width() {
+                    let e = batch.entry(c, row);
+                    let dst = out.column_mut(left_width + c);
+                    dst.resize(dst.len() + matches, e);
                 }
             }
             JoinAlgo::StackTreeAnc => {
-                let mut created = 0u64;
-                for (a, lists) in self.stack.chunks_exact(lw).zip(&mut self.lists) {
-                    if axis_ok(a) {
-                        self.arena.push(&mut lists.own, a, &self.scratch_right);
-                        created += 1;
-                    }
+                let (stack, arena) = (&self.stack, &mut self.arena);
+                for (i, lists) in self.lists.iter_mut().enumerate().skip(first) {
+                    let anc = stack.iter().map(|col| col[i]);
+                    let desc = (0..batch.width()).map(|c| batch.entry(c, row));
+                    arena.push(&mut lists.own, anc, desc);
                 }
+                let created = matches as u64;
                 self.c_buffered += created;
                 self.pairs_created += created;
-                // No release happens in between, so one reservation
-                // for this descendant's pairs reaches the same peak.
-                self.reserve_live(created * self.pair_bytes());
+                self.live.reserve(created * self.pair_bytes());
             }
             JoinAlgo::MergeJoin => unreachable!("rejected in the constructor"),
         }
+        self.right.advance();
         Ok(())
     }
 
@@ -460,7 +503,7 @@ impl<'a> StackTreeJoinOp<'a> {
         }
         self.ready.head = k;
         self.ready.len -= n;
-        self.release_live(n as u64 * self.pair_bytes());
+        self.live.release(n as u64 * self.pair_bytes());
         if self.ready.len == 0 {
             // Pairs reach `ready` only when the stack bottom pops, and
             // none are created until it drains: no other list holds a
@@ -472,8 +515,9 @@ impl<'a> StackTreeJoinOp<'a> {
     }
 
     /// Flush local counters to the shared metrics — one atomic add
-    /// per touched counter per batch.
+    /// per touched counter per batch — and apply pending live bytes.
     fn flush_metrics(&mut self) {
+        self.live.flush(&self.metrics);
         if self.c_pushes > 0 {
             ExecMetrics::add(&self.metrics.stack_pushes, self.c_pushes);
             self.c_pushes = 0;
@@ -507,7 +551,8 @@ impl<'a> StackTreeJoinOp<'a> {
 
 impl Drop for StackTreeJoinOp<'_> {
     fn drop(&mut self) {
-        self.metrics.release_bytes(self.metrics_live_bytes);
+        self.live.flush(&self.metrics);
+        self.metrics.release_bytes(self.live.applied);
     }
 }
 
@@ -518,7 +563,7 @@ impl Operator for StackTreeJoinOp<'_> {
 
     fn ordered_col(&self) -> usize {
         match self.algo {
-            JoinAlgo::StackTreeDesc => self.left_width + self.right_col,
+            JoinAlgo::StackTreeDesc => self.stack.len() + self.right_col,
             _ => self.left_col,
         }
     }

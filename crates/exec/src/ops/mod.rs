@@ -145,6 +145,13 @@ impl<'a> InputCursor<'a> {
         Ok(Some((self.batch.as_ref().expect("batch present"), self.pos)))
     }
 
+    /// True when the next [`Self::peek`] will pull the producer — the
+    /// current batch is used up and end-of-stream has not been seen.
+    #[inline]
+    pub(crate) fn must_pull(&self) -> bool {
+        !self.done && self.batch.as_ref().is_none_or(|b| self.pos >= b.len())
+    }
+
     /// Advance past the current row.
     pub(crate) fn advance(&mut self) {
         self.pos += 1;

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use sjos_pattern::PnId;
-use sjos_storage::{ElementRecord, StorageError};
+use sjos_storage::index::RecordCursor;
 
 use crate::error::EngineError;
 use crate::metrics::ExecMetrics;
@@ -13,18 +13,20 @@ use crate::tuple::{Entry, Schema, TupleBatch, BATCH_ROWS};
 /// Streams one pattern node's binding list in document order,
 /// optionally filtering by a value digest (equality predicates are
 /// pushed into the scan, as the paper assumes every node predicate is
-/// index-evaluable). The underlying record stream is a tag-index scan
-/// for named nodes or a heap-file scan for wildcard nodes.
+/// index-evaluable). The underlying record cursor runs over a tag's
+/// index list for named nodes or over the heap file for wildcard
+/// nodes.
 ///
-/// Records are packed straight into columnar batches; the two metric
-/// counters (`scanned_records`, `produced_tuples`) are accumulated
-/// locally and flushed with one atomic add each per batch. A storage
-/// fault in the underlying scan (a page read that survived the buffer
-/// pool's retries) surfaces as [`EngineError::Storage`]; the counters
-/// for records read before the fault are still flushed, so partial
-/// metrics stay honest.
+/// Each batch is filled by [`RecordCursor::fill`], which decodes a
+/// page's records in one loop straight into the batch's column; the
+/// two metric counters (`scanned_records`, `produced_tuples`) are
+/// accumulated locally and flushed with one atomic add each per batch.
+/// A storage fault in the underlying scan (a page read that survived
+/// the buffer pool's retries) surfaces as [`EngineError::Storage`];
+/// the counters for records read before the fault are still flushed,
+/// so partial metrics stay honest.
 pub struct IndexScanOp<'a> {
-    iter: Box<dyn Iterator<Item = Result<ElementRecord, StorageError>> + Send + 'a>,
+    cursor: RecordCursor<'a>,
     schema: Arc<Schema>,
     /// Keep-only digest (from [`sjos_storage::record::value_digest`]).
     value_filter: Option<u64>,
@@ -33,16 +35,15 @@ pub struct IndexScanOp<'a> {
 }
 
 impl<'a> IndexScanOp<'a> {
-    /// Scan `pnode`'s list via `iter` (records must arrive in
-    /// document order).
+    /// Scan `pnode`'s list via `cursor`.
     pub fn new(
         pnode: PnId,
-        iter: impl Iterator<Item = Result<ElementRecord, StorageError>> + Send + 'a,
+        cursor: RecordCursor<'a>,
         value_filter: Option<u64>,
         metrics: Arc<ExecMetrics>,
     ) -> Self {
         IndexScanOp {
-            iter: Box::new(iter),
+            cursor,
             schema: Arc::new(Schema::singleton(pnode)),
             value_filter,
             metrics,
@@ -70,30 +71,19 @@ impl Operator for IndexScanOp<'_> {
     fn next_batch(&mut self) -> Result<Option<TupleBatch>, EngineError> {
         let mut batch = TupleBatch::with_capacity(self.schema.clone(), self.batch_rows);
         let mut scanned = 0u64;
-        let mut fault: Option<StorageError> = None;
-        while batch.len() < self.batch_rows {
-            let rec = match self.iter.next() {
-                Some(Ok(rec)) => rec,
-                Some(Err(e)) => {
-                    fault = Some(e);
-                    break;
-                }
-                None => break,
-            };
-            scanned += 1;
-            if let Some(want) = self.value_filter {
-                if rec.value_hash != want {
-                    continue;
-                }
+        let column = batch.column_mut(0);
+        let filter = self.value_filter;
+        let read = self.cursor.fill(self.batch_rows, &mut scanned, |rec| {
+            let keep = filter.is_none_or(|want| rec.value_hash == want);
+            if keep {
+                column.push(Entry { node: rec.node, region: rec.region });
             }
-            batch.push_row(&[Entry { node: rec.node, region: rec.region }]);
-        }
+            keep
+        });
         if scanned > 0 {
             ExecMetrics::add(&self.metrics.scanned_records, scanned);
         }
-        if let Some(e) = fault {
-            return Err(EngineError::Storage(e));
-        }
+        read.map_err(EngineError::Storage)?;
         if batch.is_empty() {
             return Ok(None);
         }
@@ -164,14 +154,32 @@ mod tests {
 
     #[test]
     fn storage_fault_surfaces_as_typed_error() {
-        let st = store();
+        use sjos_storage::record::RECORDS_PER_PAGE;
+        use sjos_storage::{FaultPlan, StoreConfig};
+        // One tag whose list spans two pages: the first page is read
+        // clean and stays cached, then every physical read turns into
+        // sticky corruption, so the second page fails past the pool's
+        // retries.
+        let mut xml = String::from("<r>");
+        for _ in 0..RECORDS_PER_PAGE + 10 {
+            xml.push_str("<n/>");
+        }
+        xml.push_str("</r>");
+        let doc = Document::parse(&xml).unwrap();
+        let st = XmlStore::load_faulty(doc, StoreConfig::default(), FaultPlan::none());
         let tag = st.document().tag("n").unwrap();
+        assert_eq!(st.index().pages(tag).len(), 2);
+        st.scan_tag(tag).next().unwrap().unwrap();
+        st.fault().unwrap().set_plan(FaultPlan { sticky_corrupt: 1.0, ..FaultPlan::none() });
         let m = ExecMetrics::new();
-        let fail = StorageError::PoolExhausted { capacity: 0 };
-        let iter = st.scan_tag(tag).take(1).chain(std::iter::once(Err(fail.clone())));
-        let mut op = IndexScanOp::new(PnId(0), iter, None, Arc::clone(&m)).with_batch_rows(8);
+        let mut op =
+            IndexScanOp::new(PnId(0), st.scan_tag(tag), None, Arc::clone(&m)).with_batch_rows(1024);
         let err = op.next_batch().unwrap_err();
-        assert_eq!(err, EngineError::Storage(fail));
-        assert_eq!(m.snapshot().scanned_records, 1, "pre-fault records still counted");
+        assert!(matches!(err, EngineError::Storage(_)), "{err:?}");
+        assert_eq!(
+            m.snapshot().scanned_records,
+            RECORDS_PER_PAGE as u64,
+            "pre-fault records still counted"
+        );
     }
 }

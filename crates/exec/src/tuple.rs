@@ -168,18 +168,9 @@ impl TupleBatch {
         }
     }
 
-    /// Append one entry to each column starting at `col_offset`,
-    /// copying row `src_row` of `src` column-by-column. Used by joins
-    /// to splice a source batch's row into a wider output row.
-    pub fn extend_row_from(&mut self, col_offset: usize, src: &TupleBatch, src_row: usize) {
-        for (dst, srccol) in self.columns[col_offset..].iter_mut().zip(&src.columns) {
-            dst.push(srccol[src_row]);
-        }
-    }
-
     /// Copy row `row` onto the end of a flat row-major buffer (one
-    /// entry per column) — how joins park a left row on their stack
-    /// without allocating a [`Tuple`].
+    /// entry per column) — how the merge join keeps its current left
+    /// row without allocating a [`Tuple`].
     pub(crate) fn append_row_to(&self, row: usize, out: &mut Vec<Entry>) {
         out.extend(self.columns.iter().map(|c| c[row]));
     }
@@ -196,19 +187,6 @@ impl TupleBatch {
     pub(crate) fn reserve_exact(&mut self, additional: usize) {
         for col in &mut self.columns {
             col.reserve_exact(additional);
-        }
-    }
-
-    /// Append one row formed by concatenating two row fragments (a
-    /// join's left and right halves) without materializing the
-    /// combined row first.
-    ///
-    /// # Panics
-    /// Panics if the fragments don't add up to the schema width.
-    pub fn push_concat(&mut self, a: &[Entry], b: &[Entry]) {
-        assert_eq!(a.len() + b.len(), self.columns.len(), "row width mismatch");
-        for (col, &e) in self.columns.iter_mut().zip(a.iter().chain(b)) {
-            col.push(e);
         }
     }
 
@@ -414,21 +392,6 @@ mod tests {
         assert_ne!(one, short);
         assert!(Rows::new().is_empty());
         assert_eq!(Rows::new(), Rows::from_batches(vec![TupleBatch::new(schema.clone())]));
-    }
-
-    #[test]
-    fn batch_extend_row_from() {
-        let left = Arc::new(Schema::singleton(PnId(0)));
-        let right = Arc::new(Schema::singleton(PnId(1)));
-        let out = Arc::new(left.concat(&right));
-        let mut rb = TupleBatch::new(right.clone());
-        rb.push_row(&[e(2, 3)]);
-        let mut ob = TupleBatch::new(out);
-        ob.push_row(&[e(1, 10), e(7, 8)]);
-        // Splice right row 0 into a new output row after a left entry.
-        ob.columns[0].push(e(1, 10));
-        ob.extend_row_from(1, &rb, 0);
-        assert_eq!(ob.row(1), vec![e(1, 10), e(2, 3)]);
     }
 
     #[test]

@@ -55,6 +55,14 @@ impl HeapFile {
     pub fn scan<'a>(&'a self, pool: &'a BufferPool) -> HeapScan<'a> {
         self.list.scan(pool)
     }
+
+    /// [`HeapFile::scan`] restricted to records whose `region.start`
+    /// falls in `[lo, hi)`: every page from the first is still read
+    /// (no page is skipped by its start key), records before `lo` are
+    /// dropped, and the scan ends at the first record at or past `hi`.
+    pub fn scan_range<'a>(&'a self, pool: &'a BufferPool, lo: u32, hi: u32) -> HeapScan<'a> {
+        self.list.scan_bounded(pool, lo, hi)
+    }
 }
 
 /// Iterator over a [`HeapFile`] through a buffer pool.

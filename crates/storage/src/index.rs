@@ -18,7 +18,10 @@ use crate::disk::DiskManager;
 use crate::error::StorageError;
 use crate::heap::HeapFile;
 use crate::page::{Page, PageId};
-use crate::record::{page_record_count, set_page_record_count, ElementRecord, RECORDS_PER_PAGE};
+use crate::record::{
+    page_record_count, set_page_record_count, ElementRecord, PAGE_HEADER_SIZE, RECORDS_PER_PAGE,
+    RECORD_SIZE,
+};
 
 /// Per-tag posting directory.
 #[derive(Debug, Clone, Default)]
@@ -98,7 +101,18 @@ impl Posting {
 
     /// Scan every record through `pool`, in document order.
     pub(crate) fn scan<'a>(&'a self, pool: &'a BufferPool) -> RecordCursor<'a> {
-        RecordCursor::new(&self.pages, pool, 0, u32::MAX)
+        self.scan_bounded(pool, 0, u32::MAX)
+    }
+
+    /// Scan every page through `pool`, delivering only the records
+    /// whose `region.start` falls in `[lo, hi)`.
+    pub(crate) fn scan_bounded<'a>(
+        &'a self,
+        pool: &'a BufferPool,
+        lo: u32,
+        hi: u32,
+    ) -> RecordCursor<'a> {
+        RecordCursor::new(&self.pages, pool, lo, hi)
     }
 }
 
@@ -200,7 +214,8 @@ pub type IndexScanIter<'a> = RecordCursor<'a>;
 /// The one scan cursor over a run of record pages, shared by index and
 /// heap scans. It takes each page as a [`BufferPool::fetch_snapshot`]
 /// (no pin is held between calls) and decodes records from it in
-/// place, one per step.
+/// place. [`RecordCursor::fill`] decodes a page's records in one loop;
+/// the `Iterator` impl takes one record per step.
 pub struct RecordCursor<'a> {
     pages: &'a [PageId],
     pool: &'a BufferPool,
@@ -212,8 +227,7 @@ pub struct RecordCursor<'a> {
     slot: usize,
     /// Set once the scan is over (error yielded, or past `hi`).
     done: bool,
-    /// Records with `region.start` below this are skipped (only the
-    /// leading boundary page of a range scan has any).
+    /// Records with `region.start` below this are skipped.
     skip_below: u32,
     /// Exclusive upper bound on `region.start`: the scan fuses at the
     /// first record at or past it (`u32::MAX` = unbounded, and region
@@ -236,31 +250,61 @@ impl<'a> RecordCursor<'a> {
             hi,
         }
     }
-}
 
-impl Iterator for RecordCursor<'_> {
-    type Item = Result<ElementRecord, StorageError>;
+    /// A cursor over no pages (the list of a tag the document lacks).
+    pub fn empty(pool: &'a BufferPool) -> Self {
+        RecordCursor::new(&[], pool, 0, u32::MAX)
+    }
 
-    #[inline]
-    fn next(&mut self) -> Option<Result<ElementRecord, StorageError>> {
-        loop {
-            if self.done {
-                return None;
-            }
+    /// Deliver the next records, in document order, to `keep`, which
+    /// returns whether it kept each one; stop once it has kept `want`
+    /// records or the scan ends. `delivered` counts every record
+    /// handed to `keep`. A page is fetched only when a record is still
+    /// wanted and the current page is used up, so the pool sees the
+    /// same fetches, in the same order, as one-record-at-a-time
+    /// iteration.
+    ///
+    /// # Errors
+    /// A page read that fails beyond recovery ends the scan with its
+    /// error; the records delivered before it stay counted.
+    pub fn fill(
+        &mut self,
+        want: usize,
+        delivered: &mut u64,
+        mut keep: impl FnMut(&ElementRecord) -> bool,
+    ) -> Result<(), StorageError> {
+        let mut kept = 0;
+        while kept < want && !self.done {
             if let Some(page) = self.page.as_deref().filter(|_| self.slot < self.count) {
-                let rec = ElementRecord::decode(page, self.slot);
-                self.slot += 1;
-                if rec.region.start < self.skip_below {
-                    continue;
+                let bytes = &page.data[PAGE_HEADER_SIZE + self.slot * RECORD_SIZE
+                    ..PAGE_HEADER_SIZE + self.count * RECORD_SIZE];
+                let mut used = 0;
+                for raw in bytes.chunks_exact(RECORD_SIZE) {
+                    if kept == want {
+                        break;
+                    }
+                    used += 1;
+                    let rec = ElementRecord::from_bytes(raw);
+                    if rec.region.start < self.skip_below {
+                        continue;
+                    }
+                    if rec.region.start >= self.hi {
+                        // Document order: everything after is out of
+                        // range.
+                        self.done = true;
+                        break;
+                    }
+                    *delivered += 1;
+                    if keep(&rec) {
+                        kept += 1;
+                    }
                 }
-                if rec.region.start >= self.hi {
-                    // Document order: everything after is out of range.
-                    self.done = true;
-                    return None;
-                }
-                return Some(Ok(rec));
+                self.slot += used;
+                continue;
             }
-            let &pid = self.pages.get(self.next_page)?;
+            let Some(&pid) = self.pages.get(self.next_page) else {
+                break;
+            };
             self.next_page += 1;
             match self.pool.fetch_snapshot(pid) {
                 Ok(page) => {
@@ -272,9 +316,26 @@ impl Iterator for RecordCursor<'_> {
                 Err(e) => {
                     self.done = true;
                     self.page = None;
-                    return Some(Err(e));
+                    return Err(e);
                 }
             }
+        }
+        Ok(())
+    }
+}
+
+impl Iterator for RecordCursor<'_> {
+    type Item = Result<ElementRecord, StorageError>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Result<ElementRecord, StorageError>> {
+        let mut rec = None;
+        match self.fill(1, &mut 0, |r| {
+            rec = Some(*r);
+            true
+        }) {
+            Ok(()) => rec.map(Ok),
+            Err(e) => Some(Err(e)),
         }
     }
 }
@@ -352,6 +413,69 @@ mod tests {
             read <= 2 * RECORDS_PER_PAGE as u64,
             "narrow range decoded {read} records (page pruning broken)"
         );
+    }
+
+    #[test]
+    fn fill_fetches_a_page_only_when_a_record_is_still_wanted() {
+        let per_page = RECORDS_PER_PAGE;
+        let (index, pool) = setup(per_page as u32 * 2 + 5, 1);
+        let all: Vec<u32> =
+            collect(index.scan(&pool, Tag(0))).iter().map(|r| r.region.start).collect();
+        pool.reset_cache().unwrap();
+        let pages_touched = || {
+            let s = pool.stats().snapshot();
+            s.buffer_hits + s.disk_reads
+        };
+        let before = pages_touched();
+        let mut cursor = index.scan(&pool, Tag(0));
+        let mut delivered = 0;
+        let mut starts = Vec::new();
+        // Exactly one page's worth: the second page is not fetched.
+        cursor
+            .fill(per_page, &mut delivered, |r| {
+                starts.push(r.region.start);
+                true
+            })
+            .unwrap();
+        assert_eq!((delivered, pages_touched() - before), (per_page as u64, 1));
+        // A filter keeping every other record: `delivered` counts the
+        // dropped ones too, and the fill stops at the tenth kept one.
+        let keep = |s: u32| s.is_multiple_of(4);
+        cursor
+            .fill(10, &mut delivered, |r| {
+                let kept = keep(r.region.start);
+                if kept {
+                    starts.push(r.region.start);
+                }
+                kept
+            })
+            .unwrap();
+        let tail = &all[per_page..];
+        let upto = tail.iter().enumerate().filter(|&(_, &s)| keep(s)).nth(9).unwrap().0 + 1;
+        assert_eq!((delivered, pages_touched() - before), ((per_page + upto) as u64, 2));
+        // The iterator resumes exactly where `fill` stopped.
+        starts.extend(cursor.map(|r| r.unwrap().region.start));
+        let mut expected = all[..per_page].to_vec();
+        expected.extend(tail[..upto].iter().copied().filter(|&s| keep(s)));
+        expected.extend_from_slice(&tail[upto..]);
+        assert_eq!(starts, expected);
+    }
+
+    #[test]
+    fn bounded_heap_scan_reads_every_page_up_to_hi() {
+        let stats = Arc::new(IoStats::new());
+        let disk = Arc::new(InMemoryDisk::new(Arc::clone(&stats)));
+        let n = (RECORDS_PER_PAGE as u32) * 3;
+        let heap = HeapFile::bulk_build(disk.as_ref(), &mixed_records(n, 2)).unwrap();
+        let pool = BufferPool::new(disk, stats, 16);
+        // Starts are 2i: [lo, hi) picks records RECORDS_PER_PAGE + 1 ..
+        // RECORDS_PER_PAGE + 11, all on the second page.
+        let lo = 2 * (RECORDS_PER_PAGE as u32 + 1);
+        let recs = collect(heap.scan_range(&pool, lo, lo + 20));
+        let starts: Vec<u32> = recs.iter().map(|r| r.region.start).collect();
+        assert_eq!(starts, (0..10).map(|i| lo + 2 * i).collect::<Vec<_>>());
+        let s = pool.stats().snapshot();
+        assert_eq!(s.disk_reads, 2, "the leading page is read, the trailing one is not");
     }
 
     #[test]

@@ -55,9 +55,14 @@ impl ElementRecord {
     pub fn decode(page: &Page, slot: usize) -> ElementRecord {
         assert!(slot < RECORDS_PER_PAGE, "slot {slot} out of range");
         let off = PAGE_HEADER_SIZE + slot * RECORD_SIZE;
-        let b: &[u8; RECORD_SIZE] = page.data[off..off + RECORD_SIZE]
-            .try_into()
-            .expect("a slice of RECORD_SIZE bytes converts to the array");
+        ElementRecord::from_bytes(&page.data[off..off + RECORD_SIZE])
+    }
+
+    /// Decode one record's `RECORD_SIZE` bytes.
+    #[inline]
+    pub(crate) fn from_bytes(raw: &[u8]) -> ElementRecord {
+        let b: &[u8; RECORD_SIZE] =
+            raw.try_into().expect("a slice of RECORD_SIZE bytes converts to the array");
         let u32_at = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
         ElementRecord {
             node: NodeId(u32_at(0)),

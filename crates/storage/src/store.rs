@@ -181,6 +181,13 @@ impl XmlStore {
         self.heap.scan(&self.pool)
     }
 
+    /// The elements of [`XmlStore::scan_all`] whose `region.start`
+    /// falls in `[lo, hi)`, in document order (see
+    /// [`HeapFile::scan_range`]).
+    pub fn scan_all_range(&self, lo: u32, hi: u32) -> crate::heap::HeapScan<'_> {
+        self.heap.scan_range(&self.pool, lo, hi)
+    }
+
     /// Total pages allocated (heap + index).
     pub fn total_pages(&self) -> usize {
         self.disk.num_pages()

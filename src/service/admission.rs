@@ -133,8 +133,10 @@ impl AdmissionController {
             return Err(reject(RejectReason::NeverFits, Duration::ZERO));
         }
         let mut state = self.state.lock().expect("admission mutex poisoned");
-        // Fast path: nobody waiting and the reservation fits now.
-        if state.queue.is_empty() && state.in_use + certified_bytes <= self.budget {
+        // Fast path: nobody waiting and the reservation fits now. The
+        // fit test subtracts (`in_use <= budget` always holds) instead
+        // of adding, which could wrap near `u64::MAX`.
+        if state.queue.is_empty() && certified_bytes <= self.budget - state.in_use {
             return Ok(self.grant(&mut state, certified_bytes));
         }
         if state.queue.len() >= self.queue_capacity {
@@ -159,7 +161,7 @@ impl AdmissionController {
                 return Err(reject(RejectReason::TimedOut, waited));
             }
             let at_head = state.queue.front() == Some(&ticket);
-            if at_head && state.in_use + certified_bytes <= self.budget {
+            if at_head && certified_bytes <= self.budget - state.in_use {
                 state.queue.pop_front();
                 let permit = self.grant(&mut state, certified_bytes);
                 // The next waiter may also fit in what remains.
@@ -290,6 +292,19 @@ mod tests {
         drop(held);
         assert_eq!(waiter.join().unwrap(), 50);
         assert_eq!(ctl.snapshot().admitted, 2);
+    }
+
+    #[test]
+    fn huge_certificates_do_not_wrap_the_fit_test() {
+        let ctl = AdmissionController::new(u64::MAX, 4);
+        let big = u64::MAX / 2 + 1;
+        let _held = ctl.admit(big, Duration::ZERO).unwrap();
+        let err = ctl.admit(big, Duration::ZERO).unwrap_err();
+        assert_eq!(err.reason, RejectReason::TimedOut);
+        let snap = ctl.snapshot();
+        assert_eq!(snap.in_use, big);
+        assert_eq!(snap.peak_in_use, big, "the second certificate was never granted");
+        assert_eq!(snap.admitted, 1);
     }
 
     #[test]

@@ -131,3 +131,18 @@ fn optimal_plan_executes_faster_than_bad_plan_at_scale() {
         opt_res.metrics.produced_tuples
     );
 }
+
+#[test]
+fn dp_breaks_cost_ties_the_same_way_on_every_run() {
+    // Two `b` branches over the same list price every mirror-image
+    // plan identically, so DP meets equal-cost derivations and tied
+    // final statuses; the winner must not depend on hash order.
+    let db = Database::from_xml("<a><b><c/></b><b/><d><b/><a><b/><b/></a></d></a>").unwrap();
+    let pattern = sjos::parse_pattern("//a[./b][./b][.//d]").unwrap();
+    let first = db.optimize(&pattern, Algorithm::Dp).unwrap();
+    for _ in 0..20 {
+        let again = db.optimize(&pattern, Algorithm::Dp).unwrap();
+        assert_eq!(again.plan.to_string(), first.plan.to_string());
+        assert_eq!(again.estimated_cost.to_bits(), first.estimated_cost.to_bits());
+    }
+}

@@ -4,10 +4,15 @@
 //! folding scales exactly linearly.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-use sjos::{Algorithm, Database};
-use sjos_exec::naive;
-use sjos_pattern::{Axis, Pattern};
+use sjos::core::random_plan;
+use sjos::{Algorithm, Database, PlanNode};
+use sjos_exec::{
+    execute_with_batch_rows, naive, JoinAlgo, MetricsSnapshot, QueryResult, BATCH_ROWS,
+};
+use sjos_pattern::{Axis, Pattern, PnId};
 use sjos_xml::{Document, DocumentBuilder};
 
 const TAGS: &[&str] = &["t0", "t1", "t2", "t3"];
@@ -86,8 +91,99 @@ fn build_pattern(root: &PatNode) -> Pattern {
     p
 }
 
+/// Run `plan` at batch sizes 1, 3 and [`BATCH_ROWS`]: the stack-tree
+/// kernel emits a descendant's matches together, so these sizes put
+/// batch boundaries inside, between and far beyond those runs.
+fn run_at_every_batch_size(db: &Database, pattern: &Pattern, plan: &PlanNode) -> Vec<QueryResult> {
+    [1, 3, BATCH_ROWS]
+        .into_iter()
+        .map(|rows| execute_with_batch_rows(db.store(), pattern, plan, rows).unwrap())
+        .collect()
+}
+
+/// Rows equal the naive evaluator's; the emitted row sequence and every
+/// work counter are the same at every batch size. `peak_bytes` is left
+/// out: batch boundaries decide which operators' buffers are live at
+/// once (a sort holding its input while a join stack above it grows),
+/// so the peak legitimately moves with the batch size;
+/// `tests/recorded_counters.rs` pins it per batch size instead.
+fn check_batch_invariance(
+    db: &Database,
+    pattern: &Pattern,
+    plan: &PlanNode,
+    expected: &[Vec<sjos_xml::NodeId>],
+) {
+    let runs = run_at_every_batch_size(db, pattern, plan);
+    assert_eq!(runs[0].canonical_rows(), expected, "{plan}");
+    let work = |r: &QueryResult| MetricsSnapshot { peak_bytes: 0, ..r.metrics };
+    for run in &runs[1..] {
+        assert_eq!(run.tuples, runs[0].tuples, "{plan}");
+        assert_eq!(work(run), work(&runs[0]), "{plan}");
+    }
+}
+
+#[test]
+fn child_joins_over_repeated_ancestor_rows() {
+    // `t0` nests in `t0`, and each `t0` has several `t1` children, so
+    // the left input of the `t0/t2` join repeats each `t0` row once per
+    // `t1` child: the `/` match run at the top of the stack then holds
+    // several copies of one node, above an outer `t0` that must not
+    // match.
+    let doc = Document::parse(
+        "<t0><t1/><t1/><t2/><t0><t1/><t1/><t1/><t2/><t2/><t3><t2/></t3></t0><t2/></t0>",
+    )
+    .unwrap();
+    let pattern = sjos::parse_pattern("//t0[./t1]/t2").unwrap();
+    let expected = naive::evaluate(&doc, &pattern);
+    assert!(!expected.is_empty());
+    let db = Database::from_document(doc);
+    let scan = |id: u16| Box::new(PlanNode::IndexScan { pnode: PnId(id) });
+    for inner in [JoinAlgo::StackTreeAnc, JoinAlgo::StackTreeDesc] {
+        let mut left = PlanNode::StructuralJoin {
+            left: scan(0),
+            right: scan(1),
+            anc: PnId(0),
+            desc: PnId(1),
+            axis: Axis::Child,
+            algo: inner,
+        };
+        if inner == JoinAlgo::StackTreeDesc {
+            left = PlanNode::Sort { input: Box::new(left), by: PnId(0) };
+        }
+        for outer in [JoinAlgo::StackTreeAnc, JoinAlgo::StackTreeDesc] {
+            let plan = PlanNode::StructuralJoin {
+                left: Box::new(left.clone()),
+                right: scan(2),
+                anc: PnId(0),
+                desc: PnId(2),
+                axis: Axis::Child,
+                algo: outer,
+            };
+            plan.validate(&pattern).unwrap();
+            check_batch_invariance(&db, &pattern, &plan, &expected);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn random_plans_are_exact_at_every_batch_size(
+        tree in tree_strategy(),
+        pat in pattern_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let doc = build_doc(&tree);
+        let pattern = build_pattern(&pat);
+        let expected = naive::evaluate(&doc, &pattern);
+        let db = Database::from_document(doc);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..3 {
+            let plan = random_plan(&pattern, &mut rng);
+            check_batch_invariance(&db, &pattern, &plan, &expected);
+        }
+    }
 
     #[test]
     fn every_optimizer_matches_naive(tree in tree_strategy(), pat in pattern_strategy()) {
