@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use sjos_core::Algorithm;
 use sjos_datagen::{pers::pers, GenConfig};
-use sjos_exec::{execute, JoinAlgo, PlanNode};
+use sjos_exec::{execute, ExecOptions, JoinAlgo, PlanNode};
 use sjos_pattern::{parse_pattern, PnId};
 use sjos_storage::XmlStore;
 
@@ -43,7 +43,9 @@ fn bench_stack_tree(c: &mut Criterion) {
         for (label, algo) in all_algorithms() {
             let plan = join_plan(algo);
             group.bench_with_input(BenchmarkId::new(label, nodes), &store, |b, store| {
-                b.iter(|| execute(store, &pattern, &plan).unwrap().len());
+                b.iter(|| {
+                    execute(store, &pattern, &plan, &ExecOptions::default()).unwrap().result.len()
+                });
             });
         }
     }
@@ -60,10 +62,14 @@ fn bench_sort_vs_pipelined(c: &mut Criterion) {
         PlanNode::Sort { input: Box::new(join_plan(JoinAlgo::StackTreeDesc)), by: PnId(0) };
     let mut group = c.benchmark_group("pipelined_vs_sorted");
     group.bench_function("pipelined", |b| {
-        b.iter(|| execute(&store, &pattern, &pipelined).unwrap().len());
+        b.iter(|| {
+            execute(&store, &pattern, &pipelined, &ExecOptions::default()).unwrap().result.len()
+        });
     });
     group.bench_function("with_sort", |b| {
-        b.iter(|| execute(&store, &pattern, &sorted).unwrap().len());
+        b.iter(|| {
+            execute(&store, &pattern, &sorted, &ExecOptions::default()).unwrap().result.len()
+        });
     });
     group.finish();
 }
@@ -88,10 +94,14 @@ fn bench_full_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("q_pers_3d_execution");
     group.sample_size(10);
     group.bench_function("optimal_plan", |b| {
-        b.iter(|| execute(&store, &pattern, &good.plan).unwrap().len());
+        b.iter(|| {
+            execute(&store, &pattern, &good.plan, &ExecOptions::default()).unwrap().result.len()
+        });
     });
     group.bench_function("bad_plan", |b| {
-        b.iter(|| execute(&store, &pattern, &bad.plan).unwrap().len());
+        b.iter(|| {
+            execute(&store, &pattern, &bad.plan, &ExecOptions::default()).unwrap().result.len()
+        });
     });
     group.finish();
 }
@@ -108,10 +118,11 @@ fn bench_holistic_vs_binary(c: &mut Criterion) {
     let plan = sjos_core::optimize(&pattern, &est, &model, Algorithm::Dpp { lookahead: true })
         .unwrap()
         .plan;
+    let counting = ExecOptions { collect: false, ..ExecOptions::default() };
     let mut group = c.benchmark_group("holistic_vs_binary");
     group.sample_size(10);
     group.bench_function("binary_optimal", |b| {
-        b.iter(|| sjos_exec::execute_counting(&store, &pattern, &plan).unwrap().len());
+        b.iter(|| execute(&store, &pattern, &plan, &counting).unwrap().result.len());
     });
     group.bench_function("twigstack", |b| {
         b.iter(|| sjos_exec::holistic::evaluate(&store, &pattern).unwrap().rows.len());

@@ -36,7 +36,7 @@ use sjos_core::Algorithm;
 use sjos_datagen::{
     dblp::dblp, fold_document, mbench::mbench, paper_queries, pers::pers, DataSet, GenConfig,
 };
-use sjos_exec::MetricsSnapshot;
+use sjos_exec::{ExecOptions, MetricsSnapshot};
 
 /// Thread counts swept per query; the first entry must be 1 (serial
 /// ground truth).
@@ -162,7 +162,8 @@ fn main() -> ExitCode {
                 let mut times = Vec::with_capacity(args.reps);
                 let mut last = None;
                 for _ in 0..args.reps {
-                    let out = bench.run_plan_parallel_counting(&pattern, &plan, threads);
+                    let opts = ExecOptions { collect: false, threads, ..ExecOptions::default() };
+                    let out = bench.run(&pattern, &plan, &opts);
                     times.push(out.result.elapsed);
                     last = Some(out);
                 }

@@ -22,13 +22,12 @@
 //! the tuple-at-a-time run on cardinality or stack traffic.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use sjos_bench::{corpus_override, print_row, threads_override, CorpusCache};
 use sjos_core::Algorithm;
 use sjos_datagen::paper_queries;
-use sjos_exec::{ParallelPolicy, QueryGuard, BATCH_ROWS};
+use sjos_exec::{ExecOptions, BATCH_ROWS};
 
 /// Repetitions per (query, granularity); the median is reported.
 const REPS: usize = 5;
@@ -94,21 +93,9 @@ fn main() -> ExitCode {
             let mut times = Vec::with_capacity(REPS);
             let mut last = None;
             for _ in 0..REPS {
-                let r = if threads > 1 {
-                    sjos_exec::execute_parallel_opts(
-                        bench.store(),
-                        &pattern,
-                        &plan,
-                        false,
-                        batch_rows,
-                        &Arc::new(QueryGuard::unlimited()),
-                        ParallelPolicy::with_threads(threads),
-                    )
-                    .expect("optimizer plans are valid")
-                    .result
-                } else {
-                    bench.run_plan_counting_with_batch_rows(&pattern, &plan, batch_rows)
-                };
+                let opts =
+                    ExecOptions { collect: false, batch_rows, threads, ..ExecOptions::default() };
+                let r = bench.run(&pattern, &plan, &opts).result;
                 times.push(r.elapsed);
                 last = Some(r);
             }

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sjos::pattern::PnId;
-use sjos::{Database, PlanNode, QueryGuard, SpillPolicy, BATCH_ROWS};
+use sjos::{Database, ExecOptions, Pattern, PlanNode, QueryGuard, SpillPolicy, BATCH_ROWS};
 use sjos_exec::JoinAlgo;
 use sjos_pattern::Axis;
 use sjos_xml::{Document, DocumentBuilder};
@@ -187,13 +187,10 @@ fn run_mode(
         if let Some(b) = budget {
             guard = guard.with_memory_budget(b);
         }
-        let guard = Arc::new(guard);
+        let opts =
+            ExecOptions { guard: Some(Arc::new(guard)), spill: policy, ..ExecOptions::default() };
         let started = Instant::now();
-        let result = match policy {
-            Some(p) => sjos_exec::execute_guarded_spill(db.store(), &pattern, &plan, &guard, p),
-            None => sjos_exec::execute_guarded(db.store(), &pattern, &plan, &guard),
-        }
-        .expect("bench execution completes");
+        let result = db.execute(&pattern, &plan, &opts).expect("bench execution completes");
         let secs = started.elapsed().as_secs_f64();
         out.best_secs = out.best_secs.min(secs);
         out.rows_out = result.metrics.output_tuples;
@@ -215,6 +212,16 @@ fn run_mode(
         out.rows_per_sec = out.rows_out as f64 / out.best_secs;
     }
     out
+}
+
+/// `plan`'s certificate with every sort spilling under `policy`.
+fn spill_bounds(
+    db: &Database,
+    pattern: &Pattern,
+    plan: &PlanNode,
+    policy: SpillPolicy,
+) -> sjos::planck::ResourceBounds {
+    db.admit(pattern, plan, &ExecOptions { spill: Some(policy), ..ExecOptions::default() }).0
 }
 
 fn main() -> ExitCode {
@@ -239,21 +246,29 @@ fn main() -> ExitCode {
     for &emps in &args.sizes {
         let db = Database::from_document(wide_doc(emps));
         let full = db.resource_bounds(&pattern, &plan);
-        let floor = db.resource_bounds_spill(&pattern, &plan, SpillPolicy::with_threshold(0));
+        let floor = spill_bounds(&db, &pattern, &plan, SpillPolicy::with_threshold(0));
         assert!(
             floor.peak_bytes < full.peak_bytes,
             "corpus of {emps} emps too small: spill floor {} ≥ full bound {}",
             floor.peak_bytes,
             full.peak_bytes
         );
-        let baseline = db.execute(&pattern, &plan).expect("baseline run").tuples;
+        let baseline =
+            db.execute(&pattern, &plan, &ExecOptions::default()).expect("baseline run").tuples;
 
         // The degraded-admission arithmetic the service applies, end
         // to end: the in-memory certificate rejects at the floor
         // budget, the spill certificate admits.
         let floor_budget = usize::try_from(floor.peak_bytes).expect("budget fits usize");
-        let in_memory = sjos::planck::admit(&full, Some(floor.peak_bytes), None);
-        let degraded = sjos::planck::admit_spill(&floor, Some(floor.peak_bytes), None);
+        let at_floor = Some(Arc::new(QueryGuard::unlimited().with_memory_budget(floor_budget)));
+        let in_memory = ExecOptions { guard: at_floor.clone(), ..ExecOptions::default() };
+        let in_memory = sjos::planck::admit(&full, &in_memory);
+        let degraded = ExecOptions {
+            guard: at_floor,
+            spill: Some(SpillPolicy::with_threshold(0)),
+            ..ExecOptions::default()
+        };
+        let degraded = sjos::planck::admit(&floor, &degraded);
         assert!(!in_memory.is_clean(), "floor budget must reject the in-memory certificate");
         assert!(degraded.is_clean(), "floor budget must admit the spill certificate");
 
@@ -275,7 +290,7 @@ fn main() -> ExitCode {
             ("spill-mid", Some(mid_budget), SpillPolicy::for_budget(mid_budget, 2, BATCH_ROWS), {
                 let p = SpillPolicy::for_budget(mid_budget, 2, BATCH_ROWS)
                     .expect("mid budget admits a policy");
-                db.resource_bounds_spill(&pattern, &plan, p).peak_bytes
+                spill_bounds(&db, &pattern, &plan, p).peak_bytes
             }),
         ] {
             if mode != "in-memory" {

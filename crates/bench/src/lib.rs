@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use sjos_core::{optimize, Algorithm, CostModel, OptimizedPlan};
 use sjos_datagen::{dblp::dblp, fold_document, mbench::mbench, pers::pers};
 use sjos_datagen::{paper_sizes, DataSet, GenConfig, Workload};
-use sjos_exec::{execute, QueryResult};
+use sjos_exec::{execute, ExecOptions, ExecOutcome};
 use sjos_pattern::Pattern;
 use sjos_stats::{Catalog, PatternEstimates};
 use sjos_storage::XmlStore;
@@ -188,52 +188,27 @@ impl Bench {
         (out.expect("reps >= 1"), times[times.len() / 2])
     }
 
-    /// Execute a plan once, returning the result (with its elapsed
-    /// time inside).
-    pub fn run_plan(&self, pattern: &Pattern, plan: &sjos_exec::PlanNode) -> QueryResult {
-        execute(&self.store, pattern, plan).expect("optimizer plans are valid")
-    }
-
-    /// Execute a plan once in counting mode (results drained, not
-    /// materialized) — what the measurement loops use, since folded
-    /// corpora can produce tens of millions of matches.
-    pub fn run_plan_counting(&self, pattern: &Pattern, plan: &sjos_exec::PlanNode) -> QueryResult {
-        sjos_exec::execute_counting(&self.store, pattern, plan).expect("optimizer plans are valid")
-    }
-
-    /// Like [`Bench::run_plan_counting`], but at an explicit batch
-    /// granularity: `batch_rows = 1` reproduces the tuple-at-a-time
-    /// engine this codebase used before vectorization, which is the
-    /// `pipeline` binary's before/after knob.
-    pub fn run_plan_counting_with_batch_rows(
+    /// Execute a plan once under `opts`, returning the outcome (with
+    /// its elapsed time inside). The measurement loops run with
+    /// `collect: false`, since folded corpora can produce tens of
+    /// millions of matches; `batch_rows = 1` reproduces the
+    /// tuple-at-a-time engine (the `pipeline` binary's before/after
+    /// knob); `threads` above 1 runs the morsel-partitioned engine.
+    pub fn run(
         &self,
         pattern: &Pattern,
         plan: &sjos_exec::PlanNode,
-        batch_rows: usize,
-    ) -> QueryResult {
-        sjos_exec::execute_counting_with_batch_rows(&self.store, pattern, plan, batch_rows)
-            .expect("optimizer plans are valid")
-    }
-
-    /// Execute a plan once in counting mode across `threads` workers
-    /// via the morsel-partitioned parallel engine; `threads = 1` is
-    /// the serial engine. Returns the full [`sjos_exec::ParallelOutcome`]
-    /// so callers can audit morsel counts and per-morsel snapshots.
-    pub fn run_plan_parallel_counting(
-        &self,
-        pattern: &Pattern,
-        plan: &sjos_exec::PlanNode,
-        threads: usize,
-    ) -> sjos_exec::ParallelOutcome {
-        sjos_exec::execute_parallel_counting(&self.store, pattern, plan, threads)
-            .expect("optimizer plans are valid")
+        opts: &ExecOptions,
+    ) -> ExecOutcome {
+        execute(&self.store, pattern, plan, opts).expect("optimizer plans are valid")
     }
 
     /// One Table-1-style measurement: optimize (median of `reps`) and
     /// execute once.
     pub fn measure(&self, pattern: &Pattern, algorithm: Algorithm, reps: usize) -> Measurement {
         let (optimized, opt_time) = self.time_optimize(pattern, algorithm, reps);
-        let result = self.run_plan_counting(pattern, &optimized.plan);
+        let counting = ExecOptions { collect: false, ..ExecOptions::default() };
+        let result = self.run(pattern, &optimized.plan, &counting).result;
         Measurement {
             algorithm,
             opt_time,

@@ -1,5 +1,6 @@
 //! Plan execution against an [`XmlStore`].
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -14,6 +15,7 @@ use crate::metrics::{ExecMetrics, MetricsSnapshot};
 use crate::ops::{
     BoxedOperator, IndexScanOp, MergeJoinOp, OrderingCheck, SortOp, SpillPolicy, StackTreeJoinOp,
 };
+use crate::parallel::{plan_partition, run_morsels, RegionPartition};
 use crate::plan::PlanNode;
 use crate::tuple::{Rows, Schema, BATCH_ROWS};
 
@@ -59,145 +61,152 @@ impl QueryResult {
     }
 }
 
-/// Execute `plan` for `pattern` against `store`, materializing every
-/// result tuple.
+/// How one execution runs. [`execute`] takes it, and planck derives a
+/// plan's certificate from the same value (`analyze_bounds`, `admit`,
+/// `lint_bound_soundness`), so an admitted plan runs under exactly the
+/// options it was certified for.
+#[derive(Debug, Clone)]
+pub struct ExecOptions {
+    /// Resource guard checked at every batch boundary of every morsel:
+    /// deadline, batch budget, memory budget, cancellation. Its
+    /// counters are the aggregate across all workers. `None` runs
+    /// under a fresh unlimited guard on each call, so its pull
+    /// counters start at zero.
+    pub guard: Option<Arc<QueryGuard>>,
+    /// Target rows per batch. Every metric total except `peak_bytes`
+    /// is independent of it; `peak_bytes` counts in-flight batches,
+    /// which grow with it. `1` reproduces the tuple-at-a-time engine.
+    pub batch_rows: usize,
+    /// Materialize the result's tuples. When `false` they are
+    /// discarded as produced (`tuples` stays empty, while
+    /// `metrics.output_tuples` still counts them): the plan does all
+    /// its work without holding its answer.
+    pub collect: bool,
+    /// Let every sort degrade to a spill-to-disk external sort under
+    /// this policy instead of breaching the guard's memory budget.
+    /// Results are bit-identical to the in-memory run; the price is
+    /// temp-page I/O (`spilled_runs`, `spilled_bytes`,
+    /// `spill_page_writes`, `spill_page_reads`). A spilling run
+    /// executes as one morsel whatever `threads` says. `None` keeps
+    /// every sort in memory.
+    pub spill: Option<SpillPolicy>,
+    /// Worker threads. Above 1 the plan is split into region-disjoint
+    /// morsels when a valid cut exists (see [`crate::parallel`]).
+    pub threads: usize,
+}
+
+impl Default for ExecOptions {
+    /// Serial, materializing, in-memory, [`BATCH_ROWS`] per batch,
+    /// under a fresh unlimited guard.
+    fn default() -> ExecOptions {
+        ExecOptions { guard: None, batch_rows: BATCH_ROWS, collect: true, spill: None, threads: 1 }
+    }
+}
+
+impl ExecOptions {
+    /// The most morsel pipelines a run under these options keeps live
+    /// at once: `threads`, or 1 when sorts may spill (a spilling run
+    /// is one morsel). Static bounds scale by this factor.
+    pub fn workers(&self) -> usize {
+        if self.spill.is_some() {
+            1
+        } else {
+            self.threads.max(1)
+        }
+    }
+}
+
+/// The answer of one execution: the merged [`QueryResult`] plus the
+/// partition evidence (cut points and per-morsel snapshots) that
+/// planck's PL068 and the benches audit.
+#[derive(Debug)]
+pub struct ExecOutcome {
+    /// Merged result: tuples concatenated in morsel (document) order,
+    /// metrics summed per [`MetricsSnapshot::merged`].
+    pub result: QueryResult,
+    /// Interior cut points the partitioner chose (empty = one morsel).
+    pub cuts: Vec<u32>,
+    /// Per-morsel metric snapshots, in morsel order.
+    pub morsel_snapshots: Vec<MetricsSnapshot>,
+}
+
+impl ExecOutcome {
+    /// Number of morsels the query ran as (1 = serial).
+    pub fn morsel_count(&self) -> usize {
+        self.morsel_snapshots.len()
+    }
+}
+
+/// Morsels targeted per worker thread: more than one keeps the pool
+/// busy when morsel sizes are skewed (work stealing via the shared
+/// morsel counter).
+const MORSELS_PER_THREAD: usize = 4;
+
+/// Execute `plan` for `pattern` against `store` under `opts`.
 ///
 /// The plan is validated first (every pattern node bound exactly once,
 /// join inputs correctly ordered, axes matching); a malformed plan is
 /// an optimizer bug surfaced as [`EngineError::InvalidPlan`]. A
 /// storage fault that survives the buffer pool's retries surfaces as
 /// [`EngineError::Storage`] — never a panic, never a silently wrong
-/// answer.
+/// answer. On a guard breach the returned [`EngineError::Guard`]
+/// carries the metrics accumulated so far, summed over every morsel.
+///
+/// A serial run is the one-morsel case of the parallel one. With more
+/// than one worker the partitioner first looks for valid cuts; when it
+/// finds none (wildcard, root-binding query, tiny corpus) the plan runs
+/// as one morsel on the calling thread, and the result's I/O and
+/// elapsed time leave the partition pre-pass out.
 pub fn execute(
     store: &XmlStore,
     pattern: &Pattern,
     plan: &PlanNode,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, true, BATCH_ROWS, &Arc::new(QueryGuard::unlimited()), None)
-}
-
-/// [`execute`] under an explicit resource [`QueryGuard`]: deadline,
-/// batch budget, memory budget, and cancellation are checked at every
-/// batch boundary of the operator tree. On a breach the returned
-/// [`EngineError::Guard`] carries the metrics accumulated so far.
-pub fn execute_guarded(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    guard: &Arc<QueryGuard>,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, true, BATCH_ROWS, guard, None)
-}
-
-/// [`execute_guarded`] in *spill mode*: every sort in the plan may
-/// degrade to a spill-to-disk external sort under `policy` instead of
-/// breaching the guard's memory budget. Results are bit-identical to
-/// the in-memory execution; the price is temp-page I/O, visible in
-/// the result's metrics (`spilled_runs`, `spilled_bytes`) and I/O
-/// counters (`spill_page_writes`, `spill_page_reads`). This is the
-/// entry point the service's degraded admission path uses.
-pub fn execute_guarded_spill(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    guard: &Arc<QueryGuard>,
-    policy: SpillPolicy,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, true, BATCH_ROWS, guard, Some(policy))
-}
-
-/// [`execute_guarded_spill`] without result materialization.
-pub fn execute_counting_guarded_spill(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    guard: &Arc<QueryGuard>,
-    policy: SpillPolicy,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, false, BATCH_ROWS, guard, Some(policy))
-}
-
-/// [`execute_guarded_spill`] with an explicit batch granularity — the
-/// spill twin of [`execute_guarded_with_batch_rows`], used by the
-/// differential suites to prove spilling is invisible in the answer
-/// at every batch size.
-pub fn execute_spill_with_batch_rows(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    batch_rows: usize,
-    guard: &Arc<QueryGuard>,
-    policy: SpillPolicy,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, true, batch_rows, guard, Some(policy))
-}
-
-/// Like [`execute`], but discard tuples as they are produced (the
-/// result's `tuples` is empty; `metrics.output_tuples` still counts
-/// them). Use for measurement runs whose result sets would not fit
-/// comfortably in memory — the plan still performs all its work.
-pub fn execute_counting(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, false, BATCH_ROWS, &Arc::new(QueryGuard::unlimited()), None)
-}
-
-/// [`execute_counting`] under an explicit resource [`QueryGuard`].
-pub fn execute_counting_guarded(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    guard: &Arc<QueryGuard>,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, false, BATCH_ROWS, guard, None)
-}
-
-/// [`execute_counting`] with an explicit batch granularity.
-///
-/// `batch_rows = 1` degenerates to the tuple-at-a-time engine this
-/// refactor replaced (one dispatch and one metrics flush per tuple) —
-/// the before/after knob the pipeline benchmark uses. Metrics totals
-/// are identical for every batch size.
-pub fn execute_counting_with_batch_rows(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    batch_rows: usize,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, false, batch_rows, &Arc::new(QueryGuard::unlimited()), None)
-}
-
-/// [`execute`] with an explicit batch granularity — the materializing
-/// twin of [`execute_counting_with_batch_rows`], used by the
-/// differential tests to prove batching is invisible in the answer.
-pub fn execute_with_batch_rows(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    batch_rows: usize,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, true, batch_rows, &Arc::new(QueryGuard::unlimited()), None)
-}
-
-/// [`execute_guarded`] with an explicit batch granularity — the
-/// entry point planck's bound-soundness lint (PL064) replays plans
-/// through, so the guard's pull counter and the metrics' peak-bytes
-/// high-water mark are both observable at any batch size.
-pub fn execute_guarded_with_batch_rows(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    batch_rows: usize,
-    guard: &Arc<QueryGuard>,
-) -> Result<QueryResult, EngineError> {
-    execute_opts(store, pattern, plan, true, batch_rows, guard, None)
+    opts: &ExecOptions,
+) -> Result<ExecOutcome, EngineError> {
+    plan.validate(pattern).map_err(EngineError::InvalidPlan)?;
+    let guard = opts.guard.clone().unwrap_or_else(|| Arc::new(QueryGuard::unlimited()));
+    let mut io_before = store.stats().snapshot();
+    let mut started = Instant::now();
+    let workers = opts.workers();
+    let partition = if workers > 1 {
+        plan_partition(store, pattern, plan, workers * MORSELS_PER_THREAD, Some(&guard))?
+    } else {
+        RegionPartition::serial()
+    };
+    let outs = if partition.morsel_count() == 1 {
+        if workers > 1 {
+            // No valid cut: the run's I/O and time leave the pre-pass out.
+            io_before = store.stats().snapshot();
+            started = Instant::now();
+        }
+        let alone = AtomicBool::new(false);
+        let out = run_morsel(store, pattern, plan, opts, &guard, None, &alone)?;
+        vec![out.expect("nothing aborts a lone morsel")]
+    } else {
+        run_morsels(store, pattern, plan, opts, &guard, &partition.ranges())?
+    };
+    // Ranges ascend the start axis, so concatenating the morsels'
+    // batch lists is the serial emission order (no row is copied).
+    let schema = outs[0].schema.clone();
+    let mut tuples = Rows::new();
+    let mut snapshots = Vec::with_capacity(outs.len());
+    for out in outs {
+        tuples.append(out.tuples);
+        snapshots.push(out.snapshot);
+    }
+    let result = QueryResult {
+        schema,
+        tuples,
+        metrics: MetricsSnapshot::merged(&snapshots),
+        io: store.stats().snapshot().since(&io_before),
+        elapsed: started.elapsed(),
+    };
+    Ok(ExecOutcome { result, cuts: partition.cuts, morsel_snapshots: snapshots })
 }
 
 /// Replace a guard breach's placeholder snapshot with the real
 /// counters, so callers see how far the plan got before the stop.
-pub(crate) fn attach_partial(e: EngineError, metrics: &ExecMetrics) -> EngineError {
+fn attach_partial(e: EngineError, metrics: &ExecMetrics) -> EngineError {
     match e {
         EngineError::Guard { breach, .. } => {
             EngineError::Guard { breach, partial: Box::new(metrics.snapshot()) }
@@ -206,31 +215,42 @@ pub(crate) fn attach_partial(e: EngineError, metrics: &ExecMetrics) -> EngineErr
     }
 }
 
-pub(crate) fn execute_opts(
+/// What one morsel's pipeline produced.
+pub(crate) struct MorselOut {
+    pub(crate) schema: Schema,
+    pub(crate) tuples: Rows,
+    pub(crate) snapshot: MetricsSnapshot,
+}
+
+/// Run one morsel's pipeline to exhaustion: the plan with every leaf
+/// scan restricted to `range` (`None` scans everything), its own
+/// [`ExecMetrics`], the shared guard. Returns `Ok(None)` when a
+/// sibling's failure set `abort` mid-drain.
+pub(crate) fn run_morsel(
     store: &XmlStore,
     pattern: &Pattern,
     plan: &PlanNode,
-    materialize: bool,
-    batch_rows: usize,
+    opts: &ExecOptions,
     guard: &Arc<QueryGuard>,
-    spill: Option<SpillPolicy>,
-) -> Result<QueryResult, EngineError> {
-    plan.validate(pattern).map_err(EngineError::InvalidPlan)?;
+    range: Option<(u32, u32)>,
+    abort: &AtomicBool,
+) -> Result<Option<MorselOut>, EngineError> {
     let metrics = ExecMetrics::new();
-    let io_before = store.stats().snapshot();
-    let started = Instant::now();
-    let mut root = build_operator(store, pattern, plan, &metrics, batch_rows, guard, spill, None)?;
+    let mut root = build_operator(store, pattern, plan, &metrics, opts, guard, range)?;
     let mut tuples = Rows::new();
     let mut count: u64 = 0;
     let ordered_col = root.ordered_col();
     let mut check = OrderingCheck::new();
     loop {
+        if abort.load(Ordering::Relaxed) {
+            return Ok(None);
+        }
         match root.next_batch() {
             Ok(Some(batch)) => {
                 debug_assert!(!batch.is_empty(), "operators must not emit empty batches");
                 check.check(&batch, ordered_col);
                 count += batch.len() as u64;
-                if materialize {
+                if opts.collect {
                     tuples.push(batch);
                 }
             }
@@ -241,17 +261,10 @@ pub(crate) fn execute_opts(
             }
         }
     }
-    let elapsed = started.elapsed();
     ExecMetrics::add(&metrics.output_tuples, count);
     let schema = root.schema().as_ref().clone();
     drop(root);
-    Ok(QueryResult {
-        schema,
-        tuples,
-        metrics: metrics.snapshot(),
-        io: store.stats().snapshot().since(&io_before),
-        elapsed,
-    })
+    Ok(Some(MorselOut { schema, tuples, snapshot: metrics.snapshot() }))
 }
 
 /// Build the physical tree for `plan`, wrapping every operator in a
@@ -265,36 +278,33 @@ pub(crate) fn execute_opts(
 /// `region.start` falls in `[lo, hi)` — how the parallel executor
 /// instantiates one morsel's pipeline (see [`crate::parallel`]).
 /// `None` scans everything.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_operator<'a>(
+fn build_operator<'a>(
     store: &'a XmlStore,
     pattern: &Pattern,
     plan: &PlanNode,
     metrics: &Arc<ExecMetrics>,
-    batch_rows: usize,
+    opts: &ExecOptions,
     guard: &Arc<QueryGuard>,
-    spill: Option<SpillPolicy>,
     range: Option<(u32, u32)>,
 ) -> Result<BoxedOperator<'a>, EngineError> {
+    let batch_rows = opts.batch_rows;
     let op: BoxedOperator<'a> = match plan {
         PlanNode::IndexScan { pnode } => {
             Box::new(build_scan(store, pattern, *pnode, metrics, range).with_batch_rows(batch_rows))
         }
         PlanNode::Sort { input, by } => {
-            let child =
-                build_operator(store, pattern, input, metrics, batch_rows, guard, spill, range)?;
+            let child = build_operator(store, pattern, input, metrics, opts, guard, range)?;
             let mut sort = SortOp::new(child, *by, Arc::clone(metrics))?
                 .with_batch_rows(batch_rows)
                 .with_guard(Arc::clone(guard));
-            if let Some(policy) = spill {
+            if let Some(policy) = opts.spill {
                 sort = sort.with_spill(store.pool(), store.spill(), policy);
             }
             Box::new(sort)
         }
         PlanNode::StructuralJoin { left, right, anc, desc, axis, algo } => {
-            let l = build_operator(store, pattern, left, metrics, batch_rows, guard, spill, range)?;
-            let r =
-                build_operator(store, pattern, right, metrics, batch_rows, guard, spill, range)?;
+            let l = build_operator(store, pattern, left, metrics, opts, guard, range)?;
+            let r = build_operator(store, pattern, right, metrics, opts, guard, range)?;
             match algo {
                 crate::plan::JoinAlgo::MergeJoin => Box::new(
                     MergeJoinOp::new(l, r, *anc, *desc, *axis, Arc::clone(metrics))?
@@ -353,6 +363,19 @@ mod tests {
     use sjos_pattern::{parse_pattern, Axis};
     use sjos_xml::Document;
 
+    fn run(
+        st: &XmlStore,
+        pat: &Pattern,
+        plan: &PlanNode,
+        opts: ExecOptions,
+    ) -> Result<QueryResult, EngineError> {
+        execute(st, pat, plan, &opts).map(|o| o.result)
+    }
+
+    fn guarded(guard: &Arc<QueryGuard>) -> ExecOptions {
+        ExecOptions { guard: Some(Arc::clone(guard)), ..ExecOptions::default() }
+    }
+
     fn store() -> XmlStore {
         let doc = Document::parse(
             "<db>\
@@ -383,7 +406,7 @@ mod tests {
     fn two_way_join_end_to_end() {
         let st = store();
         let pat = parse_pattern("//dept//emp").unwrap();
-        let res = execute(&st, &pat, &two_way_plan()).unwrap();
+        let res = run(&st, &pat, &two_way_plan(), ExecOptions::default()).unwrap();
         assert_eq!(res.len(), 3);
         assert_eq!(res.metrics.output_tuples, 3);
         assert!(res.io.record_reads > 0, "scans must flow through storage");
@@ -410,7 +433,7 @@ mod tests {
             axis: Axis::Child,
             algo: JoinAlgo::StackTreeDesc,
         };
-        let res = execute(&st, &pat, &plan).unwrap();
+        let res = run(&st, &pat, &plan, ExecOptions::default()).unwrap();
         assert_eq!(res.len(), 3);
         assert!(plan.is_fully_pipelined());
     }
@@ -436,7 +459,7 @@ mod tests {
             axis: Axis::Child,
             algo: JoinAlgo::StackTreeDesc,
         };
-        let res = execute(&st, &pat, &plan).unwrap();
+        let res = run(&st, &pat, &plan, ExecOptions::default()).unwrap();
         assert_eq!(res.len(), 3);
         assert_eq!(res.metrics.sort_operations, 1);
         assert!(!plan.is_fully_pipelined());
@@ -477,8 +500,8 @@ mod tests {
             axis: Axis::Child,
             algo: JoinAlgo::StackTreeDesc,
         };
-        let a = execute(&st, &pat, &pipelined).unwrap();
-        let b = execute(&st, &pat, &right_first).unwrap();
+        let a = run(&st, &pat, &pipelined, ExecOptions::default()).unwrap();
+        let b = run(&st, &pat, &right_first, ExecOptions::default()).unwrap();
         assert_eq!(a.canonical_rows(), b.canonical_rows());
     }
 
@@ -494,7 +517,7 @@ mod tests {
             axis: Axis::Child,
             algo: JoinAlgo::StackTreeDesc,
         };
-        let res = execute(&st, &pat, &plan).unwrap();
+        let res = run(&st, &pat, &plan, ExecOptions::default()).unwrap();
         assert_eq!(res.len(), 1);
     }
 
@@ -502,7 +525,7 @@ mod tests {
     fn unknown_tag_yields_empty_result() {
         let st = store();
         let pat = parse_pattern("//dept//ghost").unwrap();
-        let res = execute(&st, &pat, &two_way_plan()).unwrap();
+        let res = run(&st, &pat, &two_way_plan(), ExecOptions::default()).unwrap();
         assert!(res.is_empty());
     }
 
@@ -518,7 +541,7 @@ mod tests {
             axis: Axis::Child,
             algo: JoinAlgo::StackTreeDesc,
         };
-        let err = execute(&st, &pat, &plan).unwrap_err();
+        let err = run(&st, &pat, &plan, ExecOptions::default()).unwrap_err();
         assert!(matches!(err, EngineError::InvalidPlan(_)));
     }
 
@@ -542,8 +565,14 @@ mod tests {
             axis: Axis::Child,
             algo: JoinAlgo::StackTreeDesc,
         };
-        let wide = execute_counting(&st, &pat, &plan).unwrap();
-        let narrow = execute_counting_with_batch_rows(&st, &pat, &plan, 1).unwrap();
+        let wide = run(&st, &pat, &plan, ExecOptions { collect: false, ..ExecOptions::default() });
+        let narrow = run(
+            &st,
+            &pat,
+            &plan,
+            ExecOptions { collect: false, batch_rows: 1, ..ExecOptions::default() },
+        );
+        let (wide, narrow) = (wide.unwrap(), narrow.unwrap());
         assert_eq!(wide.metrics.output_tuples, narrow.metrics.output_tuples);
         assert_eq!(wide.metrics.produced_tuples, narrow.metrics.produced_tuples);
         assert_eq!(wide.metrics.stack_pushes, narrow.metrics.stack_pushes);
@@ -555,7 +584,8 @@ mod tests {
     fn result_keeps_the_ordered_root_batches() {
         let st = store();
         let pat = parse_pattern("//dept//emp").unwrap();
-        let res = execute_with_batch_rows(&st, &pat, &two_way_plan(), 2).unwrap();
+        let two = ExecOptions { batch_rows: 2, ..ExecOptions::default() };
+        let res = run(&st, &pat, &two_way_plan(), two).unwrap();
         let batches = res.tuples.batches();
         assert_eq!(batches.len(), 2, "3 rows at 2 rows per batch");
         let rows: usize = batches.iter().map(crate::tuple::TupleBatch::len).sum();
@@ -563,7 +593,7 @@ mod tests {
         assert_eq!(res.tuples.len(), 3);
         let col = res.schema.position(PnId(1)).unwrap();
         assert!(batches.iter().all(|b| b.is_sorted_by(col)));
-        let wide = execute(&st, &pat, &two_way_plan()).unwrap();
+        let wide = run(&st, &pat, &two_way_plan(), ExecOptions::default()).unwrap();
         assert_eq!(wide.tuples.batches().len(), 1);
         assert_eq!(res.tuples, wide.tuples, "equality ignores batch breaks");
     }
@@ -575,7 +605,7 @@ mod tests {
         // Budget of 1: the first join pull (which itself pulls scans)
         // exceeds it within one batch.
         let guard = Arc::new(QueryGuard::unlimited().with_batch_budget(1));
-        let err = execute_guarded(&st, &pat, &two_way_plan(), &guard).unwrap_err();
+        let err = run(&st, &pat, &two_way_plan(), guarded(&guard)).unwrap_err();
         match err {
             EngineError::Guard { breach: GuardBreach::BatchBudget { limit }, .. } => {
                 assert_eq!(limit, 1);
@@ -590,7 +620,7 @@ mod tests {
         let pat = parse_pattern("//dept//emp").unwrap();
         let guard = Arc::new(QueryGuard::unlimited());
         guard.cancel_token().cancel();
-        let err = execute_guarded(&st, &pat, &two_way_plan(), &guard).unwrap_err();
+        let err = run(&st, &pat, &two_way_plan(), guarded(&guard)).unwrap_err();
         assert!(matches!(err, EngineError::Guard { breach: GuardBreach::Cancelled, .. }));
     }
 
@@ -599,7 +629,7 @@ mod tests {
         let st = store();
         let pat = parse_pattern("//dept//emp").unwrap();
         let guard = Arc::new(QueryGuard::unlimited().with_deadline(Duration::ZERO));
-        let err = execute_guarded(&st, &pat, &two_way_plan(), &guard).unwrap_err();
+        let err = run(&st, &pat, &two_way_plan(), guarded(&guard)).unwrap_err();
         assert!(matches!(err, EngineError::Guard { breach: GuardBreach::Deadline { .. }, .. }));
     }
 
@@ -608,8 +638,8 @@ mod tests {
         let st = store();
         let pat = parse_pattern("//dept//emp").unwrap();
         let guard = Arc::new(QueryGuard::unlimited());
-        let guarded = execute_guarded(&st, &pat, &two_way_plan(), &guard).unwrap();
-        let plain = execute(&st, &pat, &two_way_plan()).unwrap();
+        let guarded = run(&st, &pat, &two_way_plan(), guarded(&guard)).unwrap();
+        let plain = run(&st, &pat, &two_way_plan(), ExecOptions::default()).unwrap();
         assert_eq!(guarded.canonical_rows(), plain.canonical_rows());
         assert!(guard.batches_pulled() > 0, "guard observed the batch traffic");
     }
@@ -627,7 +657,7 @@ mod tests {
             FaultPlan { seed: 11, sticky_corrupt: 1.0, ..FaultPlan::none() },
         );
         let pat = parse_pattern("//dept//emp").unwrap();
-        let err = execute(&st, &pat, &two_way_plan()).unwrap_err();
+        let err = run(&st, &pat, &two_way_plan(), ExecOptions::default()).unwrap_err();
         assert!(matches!(err, EngineError::Storage(_)), "got {err:?}");
     }
 }

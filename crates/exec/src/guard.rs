@@ -25,7 +25,7 @@
 //! aggregate batch count of a morsel-partitioned run can exceed the
 //! serial run's (each morsel rounds up its final partial batches), so
 //! parallel admission scales the batch bound by the worker count (see
-//! `sjos-planck`'s `admit_parallel`).
+//! `sjos-planck`'s `ResourceBounds::scaled`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

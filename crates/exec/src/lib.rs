@@ -8,9 +8,14 @@
 //! [`tuple::TupleBatch`]es (target [`tuple::BATCH_ROWS`] rows) rather
 //! than single tuples, so per-item costs — virtual dispatch, bounds
 //! checks, and above all the shared atomic metric counters — are paid
-//! once per batch. Metric totals are exact and independent of batch
-//! size; `batch_rows = 1` reproduces the original tuple-at-a-time
-//! engine for before/after measurement.
+//! once per batch. Every metric total except `peak_bytes` is exact and
+//! independent of batch size (`peak_bytes` counts in-flight batches,
+//! which grow with it); `batch_rows = 1` reproduces the original
+//! tuple-at-a-time engine for before/after measurement.
+//!
+//! [`execute`] is the one way to run a plan: an [`ExecOptions`] value
+//! picks the guard, batch size, collect-vs-count, spill policy, and
+//! worker threads.
 //!
 //! Operators:
 //! * [`ops::IndexScanOp`] — streams one tag's binding list from the
@@ -34,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod compat;
 pub mod error;
 pub mod executor;
 pub mod guard;
@@ -45,20 +51,17 @@ pub mod parallel;
 pub mod plan;
 pub mod tuple;
 
-pub use error::{EngineError, ExecError, GuardBreach};
-pub use executor::{
-    execute, execute_counting, execute_counting_guarded, execute_counting_guarded_spill,
-    execute_counting_with_batch_rows, execute_guarded, execute_guarded_spill,
-    execute_guarded_with_batch_rows, execute_spill_with_batch_rows, execute_with_batch_rows,
-    QueryResult,
+pub use compat::{
+    execute_counting, execute_guarded, execute_parallel_counting, execute_parallel_guarded,
+    ParallelPolicy,
 };
+pub use error::{EngineError, ExecError, GuardBreach};
+pub use executor::{execute, ExecOptions, ExecOutcome, QueryResult};
 pub use guard::{CancelToken, GuardedOp, QueryGuard};
 pub use metrics::{ExecMetrics, MetricsSnapshot};
 pub use ops::SpillPolicy;
 pub use parallel::{
-    execute_parallel, execute_parallel_counting, execute_parallel_guarded, execute_parallel_opts,
-    partition_regions, plan_partition, scatter, stitch, straddles_every_cut, ParallelOutcome,
-    ParallelPolicy, RegionPartition,
+    partition_regions, plan_partition, scatter, stitch, straddles_every_cut, RegionPartition,
 };
 pub use plan::{JoinAlgo, OperatorContract, PlanNode};
 pub use tuple::{Entry, RowRef, Rows, Schema, Tuple, TupleBatch, BATCH_ROWS};
@@ -85,8 +88,8 @@ mod thread_safety {
         assert_send_sync::<PlanNode>();
         assert_send::<ops::BoxedOperator<'static>>();
         assert_send::<GuardedOp<'static>>();
-        assert_send_sync::<ParallelPolicy>();
+        assert_send_sync::<ExecOptions>();
         assert_send_sync::<RegionPartition>();
-        assert_send_sync::<ParallelOutcome>();
+        assert_send_sync::<ExecOutcome>();
     }
 }

@@ -32,7 +32,7 @@
 //! per row. The stack/buffer/output counters are accumulated locally
 //! and flushed with one atomic add per counter per batch, and the
 //! live-byte changes (stack entries, buffered Anc pairs) are kept as a
-//! local net sum and running high point ([`LiveBytes`]) that reach
+//! local net sum and running high point (`LiveBytes`) that reach
 //! [`ExecMetrics`] as one reserve and one release before any child
 //! pull, before a batch or an error returns, and on drop. No other
 //! operator of the same execution runs between those points, so

@@ -46,46 +46,19 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use sjos_pattern::Pattern;
 use sjos_storage::{Extent, IoTap, XmlStore};
 use sjos_xml::Region;
 
 use crate::error::EngineError;
-use crate::executor::{attach_partial, build_operator, execute_opts, QueryResult};
+use crate::executor::{run_morsel, ExecOptions, MorselOut};
 use crate::guard::QueryGuard;
-use crate::metrics::{ExecMetrics, MetricsSnapshot};
-use crate::ops::OrderingCheck;
+use crate::metrics::MetricsSnapshot;
 use crate::plan::PlanNode;
-use crate::tuple::{Rows, Schema, BATCH_ROWS};
 
 /// How records flow into the cut chooser between guard checkpoints.
 const PREPASS_CHECK_EVERY: u64 = 4096;
-
-/// Parallelism knobs for one execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelPolicy {
-    /// Worker threads (1 = the serial engine, no pool).
-    pub threads: usize,
-    /// Morsels targeted per worker; more than one keeps the pool busy
-    /// when morsel sizes are skewed (work stealing via the shared
-    /// morsel counter).
-    pub morsels_per_thread: usize,
-}
-
-impl ParallelPolicy {
-    /// `threads` workers at the default morsel granularity (4 morsels
-    /// per worker).
-    pub fn with_threads(threads: usize) -> ParallelPolicy {
-        ParallelPolicy { threads: threads.max(1), morsels_per_thread: 4 }
-    }
-
-    /// Total morsels the partitioner aims for.
-    pub fn target_morsels(&self) -> usize {
-        self.threads.max(1) * self.morsels_per_thread.max(1)
-    }
-}
 
 /// A partition of the document's start-axis into region-disjoint
 /// morsel ranges: `cuts` are the interior boundaries, strictly
@@ -204,7 +177,7 @@ pub fn plan_partition(
 
 /// True when the lists' directory extents alone prove that no interior
 /// cut is valid: the record that starts first ends at or after the
-/// last start of every list, so it straddles every start [`choose_cuts`]
+/// last start of every list, so it straddles every start `choose_cuts`
 /// could cut at. (Ties on the first start do not matter: the chooser
 /// never cuts before its first record, and every record ends at or
 /// after its own start.) Mbench's root `eNest` is the common case.
@@ -326,114 +299,21 @@ pub fn stitch(parts: &[Vec<Region>], ranges: &[(u32, u32)]) -> Vec<Region> {
     out
 }
 
-/// The answer of one parallel execution: the merged [`QueryResult`]
-/// plus the partition evidence (per-morsel snapshots and cut points)
-/// that planck's PL068 and the benches audit.
-#[derive(Debug)]
-pub struct ParallelOutcome {
-    /// Merged result — tuples concatenated in morsel (document)
-    /// order, metrics summed per [`MetricsSnapshot::merged`].
-    pub result: QueryResult,
-    /// Interior cut points the partitioner chose (empty = serial).
-    pub cuts: Vec<u32>,
-    /// Per-morsel metric snapshots, in morsel order.
-    pub morsel_snapshots: Vec<MetricsSnapshot>,
-    /// Worker threads the pool actually used.
-    pub threads_used: usize,
-}
-
-impl ParallelOutcome {
-    /// Number of morsels the query ran as (1 = serial fallback).
-    pub fn morsel_count(&self) -> usize {
-        self.morsel_snapshots.len()
-    }
-}
-
-/// Execute `plan` across `threads` workers, materializing results.
-/// Falls back to the serial engine when `threads <= 1` or no valid
-/// cut exists.
-pub fn execute_parallel(
+/// Run one morsel per range across up to `opts.threads` scoped
+/// workers and return their outputs in morsel order. The first
+/// failure (lowest morsel index wins, so errors are deterministic)
+/// aborts the remaining workers; a guard breach's partial snapshot
+/// then folds in every completed morsel's counters.
+pub(crate) fn run_morsels(
     store: &XmlStore,
     pattern: &Pattern,
     plan: &PlanNode,
-    threads: usize,
-) -> Result<ParallelOutcome, EngineError> {
-    execute_parallel_opts(
-        store,
-        pattern,
-        plan,
-        true,
-        BATCH_ROWS,
-        &Arc::new(QueryGuard::unlimited()),
-        ParallelPolicy::with_threads(threads),
-    )
-}
-
-/// [`execute_parallel`] without result materialization — for
-/// measurement runs over folded corpora.
-pub fn execute_parallel_counting(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    threads: usize,
-) -> Result<ParallelOutcome, EngineError> {
-    execute_parallel_opts(
-        store,
-        pattern,
-        plan,
-        false,
-        BATCH_ROWS,
-        &Arc::new(QueryGuard::unlimited()),
-        ParallelPolicy::with_threads(threads),
-    )
-}
-
-/// [`execute_parallel`] under an explicit shared [`QueryGuard`]: its
-/// memory/batch counters are the *aggregate* across all workers, and
-/// cancellation/deadline are observed at every batch boundary of
-/// every worker, so cancellation latency stays within one batch.
-pub fn execute_parallel_guarded(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
+    opts: &ExecOptions,
     guard: &Arc<QueryGuard>,
-    policy: ParallelPolicy,
-) -> Result<ParallelOutcome, EngineError> {
-    execute_parallel_opts(store, pattern, plan, true, BATCH_ROWS, guard, policy)
-}
-
-/// The full-knob parallel entry point (materialization, batch
-/// granularity, guard, policy) — the differential suites sweep
-/// `threads × batch_rows` through this.
-///
-/// Spill mode is deliberately absent: morsels already shrink each
-/// sort's input by the partition factor, and the degraded-admission
-/// path stays serial (the service runs spill queries with
-/// `parallelism = 1`).
-pub fn execute_parallel_opts(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    materialize: bool,
-    batch_rows: usize,
-    guard: &Arc<QueryGuard>,
-    policy: ParallelPolicy,
-) -> Result<ParallelOutcome, EngineError> {
-    plan.validate(pattern).map_err(EngineError::InvalidPlan)?;
-    if policy.threads <= 1 {
-        return serial_outcome(store, pattern, plan, materialize, batch_rows, guard);
-    }
-    let io_before = store.stats().snapshot();
-    let started = Instant::now();
-    let partition = plan_partition(store, pattern, plan, policy.target_morsels(), Some(guard))?;
-    if partition.morsel_count() == 1 {
-        // No valid cut (wildcard, root-binding query, tiny corpus):
-        // the serial engine *is* the one-morsel execution.
-        return serial_outcome(store, pattern, plan, materialize, batch_rows, guard);
-    }
-    let ranges = partition.ranges();
+    ranges: &[(u32, u32)],
+) -> Result<Vec<MorselOut>, EngineError> {
     let morsels = ranges.len();
-    let workers = policy.threads.min(morsels);
+    let workers = opts.workers().min(morsels);
     let tap = IoTap::current();
 
     let next = AtomicUsize::new(0);
@@ -452,16 +332,7 @@ pub fn execute_parallel_opts(
                     if i >= morsels || abort.load(Ordering::Relaxed) {
                         break;
                     }
-                    match run_morsel(
-                        store,
-                        pattern,
-                        plan,
-                        materialize,
-                        batch_rows,
-                        guard,
-                        ranges[i],
-                        &abort,
-                    ) {
+                    match run_morsel(store, pattern, plan, opts, guard, Some(ranges[i]), &abort) {
                         Ok(Some(out)) => {
                             *slots[i].lock().expect("morsel slot poisoned") = Some(out);
                         }
@@ -483,134 +354,25 @@ pub fn execute_parallel_opts(
     let outs: Vec<Option<MorselOut>> =
         slots.into_iter().map(|m| m.into_inner().expect("morsel slot poisoned")).collect();
     if let Some((_, e)) = failure.into_inner().expect("failure slot poisoned") {
-        // Fold the completed morsels' counters into a guard breach's
-        // partial snapshot so callers see aggregate progress.
-        let done: Vec<MetricsSnapshot> = outs.iter().flatten().map(|o| o.snapshot).collect();
         return Err(match e {
             EngineError::Guard { breach, partial } => {
-                let mut all = done;
+                let mut all: Vec<MetricsSnapshot> =
+                    outs.iter().flatten().map(|o| o.snapshot).collect();
                 all.push(*partial);
                 EngineError::Guard { breach, partial: Box::new(MetricsSnapshot::merged(&all)) }
             }
             other => other,
         });
     }
-
-    // No failure, no abort: every slot is filled. Stitch in morsel
-    // order — ranges ascend the start axis, so concatenating the
-    // morsels' batch lists is the serial emission order (no row is
-    // copied).
-    let mut tuples = Rows::new();
-    let mut snapshots = Vec::with_capacity(morsels);
-    for out in outs {
-        let out = out.expect("all morsels completed");
-        tuples.append(out.tuples);
-        snapshots.push(out.snapshot);
-    }
-    let elapsed = started.elapsed();
-    let result = QueryResult {
-        schema: plan_schema(plan),
-        tuples,
-        metrics: MetricsSnapshot::merged(&snapshots),
-        io: store.stats().snapshot().since(&io_before),
-        elapsed,
-    };
-    Ok(ParallelOutcome {
-        result,
-        cuts: partition.cuts,
-        morsel_snapshots: snapshots,
-        threads_used: workers,
-    })
-}
-
-struct MorselOut {
-    tuples: Rows,
-    snapshot: MetricsSnapshot,
-}
-
-/// Run one morsel's pipeline: the plan with every leaf scan
-/// restricted to `[lo, hi)`, its own [`ExecMetrics`], the shared
-/// guard. Returns `Ok(None)` when a sibling's failure aborted the
-/// pool mid-drain.
-#[allow(clippy::too_many_arguments)]
-fn run_morsel(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    materialize: bool,
-    batch_rows: usize,
-    guard: &Arc<QueryGuard>,
-    range: (u32, u32),
-    abort: &AtomicBool,
-) -> Result<Option<MorselOut>, EngineError> {
-    let metrics = ExecMetrics::new();
-    let mut root =
-        build_operator(store, pattern, plan, &metrics, batch_rows, guard, None, Some(range))?;
-    let mut tuples = Rows::new();
-    let mut count: u64 = 0;
-    let ordered_col = root.ordered_col();
-    let mut check = OrderingCheck::new();
-    loop {
-        if abort.load(Ordering::Relaxed) {
-            return Ok(None);
-        }
-        match root.next_batch() {
-            Ok(Some(batch)) => {
-                check.check(&batch, ordered_col);
-                count += batch.len() as u64;
-                if materialize {
-                    tuples.push(batch);
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                ExecMetrics::add(&metrics.output_tuples, count);
-                return Err(attach_partial(e, &metrics));
-            }
-        }
-    }
-    ExecMetrics::add(&metrics.output_tuples, count);
-    drop(root);
-    Ok(Some(MorselOut { tuples, snapshot: metrics.snapshot() }))
-}
-
-/// One-morsel execution through the serial engine, wrapped as a
-/// [`ParallelOutcome`].
-fn serial_outcome(
-    store: &XmlStore,
-    pattern: &Pattern,
-    plan: &PlanNode,
-    materialize: bool,
-    batch_rows: usize,
-    guard: &Arc<QueryGuard>,
-) -> Result<ParallelOutcome, EngineError> {
-    let result = execute_opts(store, pattern, plan, materialize, batch_rows, guard, None)?;
-    let snapshot = result.metrics;
-    Ok(ParallelOutcome {
-        result,
-        cuts: Vec::new(),
-        morsel_snapshots: vec![snapshot],
-        threads_used: 1,
-    })
-}
-
-/// The output schema `plan` produces, derived structurally (scans are
-/// singletons, joins concatenate left-then-right, sorts pass
-/// through) — identical to what the built operator tree reports.
-fn plan_schema(plan: &PlanNode) -> Schema {
-    match plan {
-        PlanNode::IndexScan { pnode } => Schema::singleton(*pnode),
-        PlanNode::Sort { input, .. } => plan_schema(input),
-        PlanNode::StructuralJoin { left, right, .. } => {
-            plan_schema(left).concat(&plan_schema(right))
-        }
-    }
+    // No failure, no abort: every slot is filled.
+    Ok(outs.into_iter().map(|o| o.expect("all morsels completed")).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::GuardBreach;
+    use crate::executor::{execute, ExecOutcome};
     use crate::plan::JoinAlgo;
     use sjos_pattern::{parse_pattern, Axis, PnId};
     use sjos_xml::Document;
@@ -630,6 +392,14 @@ mod tests {
         PlanNode::IndexScan { pnode: PnId(i) }
     }
 
+    fn run(st: &XmlStore, pat: &Pattern, opts: ExecOptions) -> Result<ExecOutcome, EngineError> {
+        execute(st, pat, &two_way_plan(), &opts)
+    }
+
+    fn threads(threads: usize) -> ExecOptions {
+        ExecOptions { threads, ..ExecOptions::default() }
+    }
+
     fn two_way_plan() -> PlanNode {
         PlanNode::StructuralJoin {
             left: Box::new(scan(0)),
@@ -645,10 +415,10 @@ mod tests {
     fn parallel_matches_serial_bit_for_bit() {
         let st = forest(64);
         let pat = parse_pattern("//dept//emp").unwrap();
-        let serial = crate::executor::execute(&st, &pat, &two_way_plan()).unwrap();
-        for threads in [2, 4, 8] {
-            let par = execute_parallel(&st, &pat, &two_way_plan(), threads).unwrap();
-            assert!(par.morsel_count() > 1, "forest must split at {threads} threads");
+        let serial = run(&st, &pat, threads(1)).unwrap().result;
+        for n in [2, 4, 8] {
+            let par = run(&st, &pat, threads(n)).unwrap();
+            assert!(par.morsel_count() > 1, "forest must split at {n} threads");
             assert_eq!(par.result.tuples, serial.tuples, "output sequence must be identical");
             let m = &par.result.metrics;
             assert_eq!(m.output_tuples, serial.metrics.output_tuples);
@@ -688,7 +458,7 @@ mod tests {
         let pat = parse_pattern("//*//emp").unwrap();
         let part = plan_partition(&st, &pat, &two_way_plan(), 8, None).unwrap();
         assert_eq!(part.morsel_count(), 1);
-        let out = execute_parallel(&st, &pat, &two_way_plan(), 4).unwrap();
+        let out = run(&st, &pat, threads(4)).unwrap();
         assert_eq!(out.morsel_count(), 1, "wildcard runs as one serial morsel");
         assert!(!out.result.is_empty());
     }
@@ -728,14 +498,8 @@ mod tests {
         let pat = parse_pattern("//dept//emp").unwrap();
         let guard = Arc::new(QueryGuard::unlimited());
         guard.cancel_token().cancel();
-        let err = execute_parallel_guarded(
-            &st,
-            &pat,
-            &two_way_plan(),
-            &guard,
-            ParallelPolicy::with_threads(4),
-        )
-        .unwrap_err();
+        let opts = ExecOptions { guard: Some(guard), ..threads(4) };
+        let err = run(&st, &pat, opts).unwrap_err();
         assert!(matches!(err, EngineError::Guard { breach: GuardBreach::Cancelled, .. }));
     }
 
@@ -744,14 +508,8 @@ mod tests {
         let st = forest(64);
         let pat = parse_pattern("//dept//emp").unwrap();
         let guard = Arc::new(QueryGuard::unlimited().with_batch_budget(2));
-        let err = execute_parallel_guarded(
-            &st,
-            &pat,
-            &two_way_plan(),
-            &guard,
-            ParallelPolicy::with_threads(4),
-        )
-        .unwrap_err();
+        let opts = ExecOptions { guard: Some(guard), ..threads(4) };
+        let err = run(&st, &pat, opts).unwrap_err();
         assert!(matches!(
             err,
             EngineError::Guard { breach: GuardBreach::BatchBudget { limit: 2 }, .. }
@@ -762,9 +520,9 @@ mod tests {
     fn single_thread_policy_is_the_serial_engine() {
         let st = forest(8);
         let pat = parse_pattern("//dept//emp").unwrap();
-        let serial = crate::executor::execute(&st, &pat, &two_way_plan()).unwrap();
-        let one = execute_parallel(&st, &pat, &two_way_plan(), 1).unwrap();
-        assert_eq!(one.morsel_count(), 1);
+        let serial = run(&st, &pat, ExecOptions::default()).unwrap().result;
+        let one = run(&st, &pat, threads(0)).unwrap();
+        assert_eq!(one.morsel_count(), 1, "zero threads clamp to the serial engine");
         assert_eq!(one.result.tuples, serial.tuples);
         assert_eq!(one.result.metrics, serial.metrics);
     }

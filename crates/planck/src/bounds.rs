@@ -12,13 +12,19 @@
 //! budgets *before* running anything yields a static admission
 //! decision (PL062/PL063) instead of a mid-flight `GuardBreach`.
 //!
-//! A second, *degraded* admission tier covers plans the in-memory
-//! bound rejects: [`analyze_bounds_spill`] re-derives the bounds with
-//! every sort capped at a [`SpillPolicy`]'s resident footprint (the
-//! rest of the input lives in temp pages), [`admit_spill`] compares
-//! that resident bound against the same budgets (PL066), and
-//! [`lint_spill_soundness`] replays spill-mode executions to certify
-//! the cap is a real upper bound (PL067).
+//! Every entry point takes the [`ExecOptions`] the plan will run
+//! under, so a certificate and its execution are built from the same
+//! value. A second, *degraded* admission tier covers plans the
+//! in-memory bound rejects: with a [`SpillPolicy`] in the options,
+//! [`analyze_bounds`] caps every sort at the policy's resident
+//! footprint (the rest of the input lives in temp pages), [`admit`]
+//! compares that resident bound against the same budgets (PL066), and
+//! [`lint_bound_soundness`] replays spill-mode executions to certify
+//! the cap is a real upper bound (PL067). With more than one worker,
+//! [`ResourceBounds::scaled`] multiplies the bounds by the worker
+//! count before either comparison.
+//!
+//! [`SpillPolicy`]: sjos_exec::SpillPolicy
 //!
 //! ## The interval lattice
 //!
@@ -67,10 +73,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sjos_core::CostModel;
-use sjos_exec::{
-    execute_guarded_with_batch_rows, execute_spill_with_batch_rows, EngineError, Entry, JoinAlgo,
-    PlanNode, QueryGuard, SpillPolicy, BATCH_ROWS,
-};
+use sjos_exec::{execute, EngineError, Entry, ExecOptions, JoinAlgo, PlanNode, QueryGuard};
 use sjos_pattern::{Axis, Pattern, PnId};
 use sjos_stats::PatternEstimates;
 use sjos_storage::XmlStore;
@@ -152,6 +155,26 @@ pub struct ResourceBounds {
 }
 
 impl ResourceBounds {
+    /// Worst-case aggregate `(peak bytes, batch pulls)` of a run under
+    /// `opts`: these bounds times [`ExecOptions::workers`].
+    ///
+    /// Sound because each morsel is the same plan over a *subset* of
+    /// every binding list, and the per-operator bounds are monotone in
+    /// their input cardinalities: one morsel's resident peak never
+    /// exceeds the serial bound, and at most `workers` morsels are
+    /// resident at once. The batch bound scales the same way: the
+    /// aggregate pull count of a partitioned run can exceed the serial
+    /// worst case (each morsel rounds its final partial batches up),
+    /// but never `workers ×` it, since every worker's own pull
+    /// sequence is bounded by its morsel's (≤ serial) worst case.
+    /// Conservative by design: a plan admitted serially may be
+    /// rejected at high parallelism; the service then falls back to
+    /// the serial path rather than risking an unsound admission.
+    pub fn scaled(&self, opts: &ExecOptions) -> (u64, u64) {
+        let workers = opts.workers() as u64;
+        (self.peak_bytes.saturating_mul(workers), self.batch_pulls.saturating_mul(workers))
+    }
+
     /// The root operator's output-cardinality interval.
     pub fn root_rows(&self) -> CardInterval {
         self.operators.first().map_or(CardInterval { lo: 0, hi: 0 }, |o| o.rows)
@@ -200,66 +223,43 @@ struct SubBounds {
 
 const ENTRY: u64 = std::mem::size_of::<Entry>() as u64;
 
-/// Derive guaranteed resource bounds for `plan` at granularity
-/// `batch_rows` (use [`BATCH_ROWS`] for the production default).
+/// Derive guaranteed resource bounds for `plan` run under `opts`: at
+/// its `batch_rows` granularity and, when it carries a spill policy,
+/// with every sort's buffer term capped at the policy's *resident*
+/// bound — flush threshold plus one output batch plus the merge
+/// fan-in's decoded cursor buffers plus one run page — because an
+/// external sort parks everything past the threshold in temp pages.
+/// All other operators are unchanged (only sorts spill), so under a
+/// spill policy `peak_bytes` is the worst-case resident footprint a
+/// degraded admission decision (PL066) compares against the budget.
+/// The bounds are per morsel; [`ResourceBounds::scaled`] gives the
+/// aggregate over `opts`' workers.
 pub fn analyze_bounds(
     pattern: &Pattern,
     estimates: &PatternEstimates,
     model: &CostModel,
     plan: &PlanNode,
-    batch_rows: usize,
+    opts: &ExecOptions,
 ) -> ResourceBounds {
-    analyze(pattern, estimates, model, plan, batch_rows, None)
-}
-
-/// [`analyze_bounds`] under a spill policy: every sort's buffer term
-/// is capped at the policy's *resident* bound — flush threshold plus
-/// one output batch plus the merge fan-in's decoded cursor buffers
-/// plus one run page — because an external sort parks everything past
-/// the threshold in temp pages instead of memory. All other operators
-/// are unchanged (only sorts spill), so the resulting `peak_bytes` is
-/// the worst-case resident footprint a degraded admission decision
-/// (PL066) compares against the memory budget.
-pub fn analyze_bounds_spill(
-    pattern: &Pattern,
-    estimates: &PatternEstimates,
-    model: &CostModel,
-    plan: &PlanNode,
-    batch_rows: usize,
-    policy: SpillPolicy,
-) -> ResourceBounds {
-    analyze(pattern, estimates, model, plan, batch_rows, Some(policy))
-}
-
-fn analyze(
-    pattern: &Pattern,
-    estimates: &PatternEstimates,
-    model: &CostModel,
-    plan: &PlanNode,
-    batch_rows: usize,
-    spill: Option<SpillPolicy>,
-) -> ResourceBounds {
-    let batch_rows = batch_rows.max(1);
     let mut operators = Vec::new();
-    walk(pattern, estimates, model, plan, "root", batch_rows as u64, spill, &mut operators);
+    walk(pattern, estimates, model, plan, "root", opts, &mut operators);
     let peak_bytes = operators
         .iter()
         .fold(0u64, |acc, o| acc.saturating_add(o.buffer_bytes).saturating_add(o.batch_bytes));
     let batch_pulls = operators.iter().fold(0u64, |acc, o| acc.saturating_add(o.pulls));
-    ResourceBounds { operators, peak_bytes, batch_pulls, batch_rows }
+    ResourceBounds { operators, peak_bytes, batch_pulls, batch_rows: opts.batch_rows.max(1) }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn walk(
     pattern: &Pattern,
     estimates: &PatternEstimates,
     model: &CostModel,
     plan: &PlanNode,
     path: &str,
-    batch_rows: u64,
-    spill: Option<SpillPolicy>,
+    opts: &ExecOptions,
     out: &mut Vec<OperatorBounds>,
 ) -> SubBounds {
+    let batch_rows = opts.batch_rows.max(1) as u64;
     // Reserve this operator's pre-order slot before recursing.
     let slot = out.len();
     out.push(OperatorBounds {
@@ -288,25 +288,15 @@ fn walk(
             (format!("Scan {}#{}", pattern.node(*pnode).tag, pnode.0), sub, 0u64, 0u64, vec![])
         }
         PlanNode::Sort { input, by } => {
-            let inner = walk(
-                pattern,
-                estimates,
-                model,
-                input,
-                &format!("{path}.in"),
-                batch_rows,
-                spill,
-                out,
-            );
+            let inner = walk(pattern, estimates, model, input, &format!("{path}.in"), opts, out);
             // The sort materializes its whole input — unless it may
             // spill, in which case at most the policy's resident
             // bound stays in memory at once and the rest lives in
             // temp pages.
             let full = inner.rows.hi.saturating_mul(inner.width as u64).saturating_mul(ENTRY);
-            let buffer = match spill {
+            let buffer = match opts.spill {
                 Some(policy) => {
-                    let rows = usize::try_from(batch_rows).unwrap_or(usize::MAX);
-                    full.min(policy.resident_bound(inner.width, rows) as u64)
+                    full.min(policy.resident_bound(inner.width, opts.batch_rows.max(1)) as u64)
                 }
                 None => full,
             };
@@ -320,26 +310,8 @@ fn walk(
             (format!("Sort by #{}", by.0), sub, buffer, 0u64, vec![width])
         }
         PlanNode::StructuralJoin { left, right, anc, desc, axis, algo } => {
-            let l = walk(
-                pattern,
-                estimates,
-                model,
-                left,
-                &format!("{path}.left"),
-                batch_rows,
-                spill,
-                out,
-            );
-            let r = walk(
-                pattern,
-                estimates,
-                model,
-                right,
-                &format!("{path}.right"),
-                batch_rows,
-                spill,
-                out,
-            );
+            let l = walk(pattern, estimates, model, left, &format!("{path}.left"), opts, out);
+            let r = walk(pattern, estimates, model, right, &format!("{path}.right"), opts, out);
 
             // Structural key inequality: one descendant element has at
             // most `depth_levels(anc)` ancestors with the anc tag
@@ -448,7 +420,8 @@ pub fn lint_bounds(
     plan: &PlanNode,
     batch_rows: usize,
 ) -> (ResourceBounds, Report) {
-    let bounds = analyze_bounds(pattern, estimates, model, plan, batch_rows);
+    let opts = ExecOptions { batch_rows, ..ExecOptions::default() };
+    let bounds = analyze_bounds(pattern, estimates, model, plan, &opts);
     let mut report = Report::default();
     for op in &bounds.operators {
         if op.rows.lo > op.rows.hi {
@@ -509,157 +482,64 @@ pub fn lint_bounds(
     (bounds, report)
 }
 
-/// PL062 + PL063: the admission predicate. Compares `bounds` against
-/// explicit budgets (bytes / batch pulls); `None` means unlimited. A
-/// clean report admits the plan.
-pub fn admit(
-    bounds: &ResourceBounds,
-    memory_budget: Option<u64>,
-    batch_budget: Option<u64>,
-) -> Report {
-    let mut report = Report::default();
-    if let Some(limit) = memory_budget {
-        if bounds.peak_bytes > limit {
-            report.push(
-                Rule::MemoryAdmissible,
-                "root",
-                format!(
-                    "worst-case peak {} B exceeds the {} B memory budget",
-                    bounds.peak_bytes, limit
-                ),
-            );
-        }
-    }
-    if let Some(limit) = batch_budget {
-        if bounds.batch_pulls > limit {
-            report.push(
-                Rule::BatchAdmissible,
-                "root",
-                format!(
-                    "worst-case {} batch pulls exceed the {} pull budget",
-                    bounds.batch_pulls, limit
-                ),
-            );
-        }
-    }
-    report
-}
-
-/// [`admit`] against the budgets carried by a [`QueryGuard`] — the
-/// pre-execution check a server runs before handing the guard to the
-/// executor.
-pub fn admit_guard(bounds: &ResourceBounds, guard: &QueryGuard) -> Report {
-    let budget = guard.memory_budget().map(|b| b as u64);
-    admit(bounds, budget, guard.batch_budget())
-}
-
-/// PL066 (+ PL063): the *degraded*-admission predicate. `bounds` must
-/// come from [`analyze_bounds_spill`] — its `peak_bytes` is then the
-/// worst-case **resident** footprint with every sort spilling, and a
-/// clean report admits the plan in spill mode even when [`admit`]
-/// rejected its in-memory bound. A violation here means not even
-/// spilling saves the plan (the guard budget is below the merge
-/// machinery's floor or a non-sort operator alone exceeds it).
-pub fn admit_spill(
-    bounds: &ResourceBounds,
-    memory_budget: Option<u64>,
-    batch_budget: Option<u64>,
-) -> Report {
-    let mut report = Report::default();
-    if let Some(limit) = memory_budget {
-        if bounds.peak_bytes > limit {
-            report.push(
-                Rule::SpillAdmissible,
-                "root",
-                format!(
-                    "worst-case resident peak {} B under spill still exceeds the {} B memory \
-                     budget",
-                    bounds.peak_bytes, limit
-                ),
-            );
-        }
-    }
-    if let Some(limit) = batch_budget {
-        if bounds.batch_pulls > limit {
-            report.push(
-                Rule::BatchAdmissible,
-                "root",
-                format!(
-                    "worst-case {} batch pulls exceed the {} pull budget",
-                    bounds.batch_pulls, limit
-                ),
-            );
-        }
-    }
-    report
-}
-
-/// [`admit_spill`] against the budgets carried by a [`QueryGuard`] —
-/// what a server consults after [`admit_guard`] rejects a plan, before
-/// refusing the query outright.
-pub fn admit_spill_guard(bounds: &ResourceBounds, guard: &QueryGuard) -> Report {
-    admit_spill(bounds, guard.memory_budget().map(|b| b as u64), guard.batch_budget())
-}
-
-/// PL062 + PL063 for a `workers`-way morsel-partitioned parallel run:
-/// admit only if `workers ×` the serial worst case fits the budgets.
+/// PL062 + PL063, or PL066 + PL063 under a spill policy: the
+/// admission predicate. Compares `bounds` (from [`analyze_bounds`]
+/// with the same `opts`), scaled to `opts`' workers, against the
+/// budgets of `opts.guard`; no guard means unlimited. A clean report
+/// admits the plan.
 ///
-/// Sound because each morsel is the same plan over a *subset* of every
-/// binding list, and the per-operator bounds are monotone in their
-/// input cardinalities — one morsel's resident peak never exceeds the
-/// serial bound, and at most `workers` morsels are resident at once.
-/// The batch bound scales the same way: the aggregate pull count of a
-/// partitioned run can exceed the serial worst case (each morsel
-/// rounds its final partial batches up), but never `workers ×` it,
-/// since every worker's own pull sequence is bounded by its morsel's
-/// (≤ serial) worst case. Conservative by design: a plan admitted
-/// serially may be rejected at high parallelism; the service then
-/// falls back to fewer workers or the serial path rather than risking
-/// an unsound admission.
-pub fn admit_parallel(
-    bounds: &ResourceBounds,
-    workers: usize,
-    memory_budget: Option<u64>,
-    batch_budget: Option<u64>,
-) -> Report {
-    let workers = workers.max(1) as u64;
+/// With a spill policy a clean report admits the plan in spill mode
+/// even when its in-memory bound was rejected; a PL066 violation
+/// means not even spilling saves it (the budget is below the merge
+/// machinery's floor or a non-sort operator alone exceeds it).
+pub fn admit(bounds: &ResourceBounds, opts: &ExecOptions) -> Report {
+    let workers = opts.workers();
+    let (peak, pulls) = bounds.scaled(opts);
+    let guard = opts.guard.as_deref();
     let mut report = Report::default();
-    let peak = bounds.peak_bytes.saturating_mul(workers);
-    if let Some(limit) = memory_budget {
+    if let Some(limit) = guard.and_then(QueryGuard::memory_budget).map(|b| b as u64) {
         if peak > limit {
-            report.push(
-                Rule::MemoryAdmissible,
-                "root",
-                format!(
-                    "worst-case aggregate peak {peak} B across {workers} workers exceeds the \
-                     {limit} B memory budget (serial peak {} B)",
-                    bounds.peak_bytes
-                ),
-            );
+            let (rule, message) = if opts.spill.is_some() {
+                (
+                    Rule::SpillAdmissible,
+                    format!(
+                        "worst-case resident peak {peak} B under spill still exceeds the {limit} \
+                         B memory budget"
+                    ),
+                )
+            } else if workers > 1 {
+                (
+                    Rule::MemoryAdmissible,
+                    format!(
+                        "worst-case aggregate peak {peak} B across {workers} workers exceeds the \
+                         {limit} B memory budget (serial peak {} B)",
+                        bounds.peak_bytes
+                    ),
+                )
+            } else {
+                (
+                    Rule::MemoryAdmissible,
+                    format!("worst-case peak {peak} B exceeds the {limit} B memory budget"),
+                )
+            };
+            report.push(rule, "root", message);
         }
     }
-    let pulls = bounds.batch_pulls.saturating_mul(workers);
-    if let Some(limit) = batch_budget {
+    if let Some(limit) = guard.and_then(QueryGuard::batch_budget) {
         if pulls > limit {
-            report.push(
-                Rule::BatchAdmissible,
-                "root",
+            let message = if workers > 1 {
                 format!(
                     "worst-case aggregate {pulls} batch pulls across {workers} workers exceed \
                      the {limit} pull budget (serial bound {})",
                     bounds.batch_pulls
-                ),
-            );
+                )
+            } else {
+                format!("worst-case {pulls} batch pulls exceed the {limit} pull budget")
+            };
+            report.push(Rule::BatchAdmissible, "root", message);
         }
     }
     report
-}
-
-/// [`admit_parallel`] against the budgets carried by a [`QueryGuard`]
-/// (which the parallel executor shares across all workers, so its
-/// counters accumulate the aggregate the scaled bounds cap).
-pub fn admit_parallel_guard(bounds: &ResourceBounds, workers: usize, guard: &QueryGuard) -> Report {
-    admit_parallel(bounds, workers, guard.memory_budget().map(|b| b as u64), guard.batch_budget())
 }
 
 /// PL065: the cache-revalidation predicate. A plan cached under
@@ -697,10 +577,16 @@ pub fn revalidate_cached(
     report
 }
 
-/// PL064 (dynamic, in the style of PL034): execute `plan` against
-/// `store` at the bounds' batch granularity and check that the
-/// observed peak buffering, batch pulls, and output cardinality all
-/// stay inside the static bounds.
+/// PL064, or PL067 under a spill policy (dynamic, in the style of
+/// PL034): execute `plan` against `store` under `opts` and check that
+/// every morsel's observed peak buffering stays inside `bounds`, the
+/// batch pulls inside [`ResourceBounds::scaled`], and the output
+/// cardinality inside the root interval. A spill-mode run must also
+/// release every temp page it borrowed.
+///
+/// `bounds` must come from [`analyze_bounds`] with the same `opts`, or
+/// the comparison is meaningless. The run uses `opts.guard` when set
+/// (pulls are counted from the call on), else a fresh unlimited one.
 ///
 /// # Errors
 /// Propagates execution failures ([`EngineError`]) — a failed run
@@ -710,99 +596,53 @@ pub fn lint_bound_soundness(
     pattern: &Pattern,
     bounds: &ResourceBounds,
     plan: &PlanNode,
+    opts: &ExecOptions,
 ) -> Result<Report, EngineError> {
-    let guard = Arc::new(QueryGuard::unlimited());
-    let result = execute_guarded_with_batch_rows(store, pattern, plan, bounds.batch_rows, &guard)?;
+    let guard = opts.guard.clone().unwrap_or_else(|| Arc::new(QueryGuard::unlimited()));
+    let pulled_before = guard.batches_pulled();
+    let pages_before = store.spill().live_pages();
+    let run = ExecOptions { guard: Some(Arc::clone(&guard)), ..opts.clone() };
+    let outcome = execute(store, pattern, plan, &run)?;
+    let (rule, peak_what, bound_what) = if opts.spill.is_some() {
+        (Rule::SpillBoundSound, "observed resident peak", "spill-capped static bound")
+    } else {
+        (Rule::BoundSound, "observed peak", "static bound")
+    };
     let mut report = Report::default();
-    if result.metrics.peak_bytes > bounds.peak_bytes {
+    let peak = outcome.morsel_snapshots.iter().map(|m| m.peak_bytes).max().unwrap_or(0);
+    if peak > bounds.peak_bytes {
         report.push(
-            Rule::BoundSound,
+            rule,
             "root",
-            format!(
-                "observed peak {} B exceeds the static bound {} B",
-                result.metrics.peak_bytes, bounds.peak_bytes
-            ),
+            format!("{peak_what} {peak} B exceeds the {bound_what} {} B", bounds.peak_bytes),
         );
     }
-    let pulled = guard.batches_pulled();
-    if pulled > bounds.batch_pulls {
+    let pulled = guard.batches_pulled() - pulled_before;
+    let (_, pull_bound) = bounds.scaled(opts);
+    if pulled > pull_bound {
         report.push(
-            Rule::BoundSound,
+            rule,
             "root",
-            format!("observed {pulled} batch pulls exceed the static bound {}", bounds.batch_pulls),
+            format!("observed {pulled} batch pulls exceed the static bound {pull_bound}"),
         );
     }
     let root = bounds.root_rows();
-    let rows = result.metrics.output_tuples;
+    let rows = outcome.result.metrics.output_tuples;
     if rows < root.lo || rows > root.hi {
         report.push(
-            Rule::BoundSound,
+            rule,
             "root",
             format!("{rows} output rows fall outside the root interval [{}, {}]", root.lo, root.hi),
         );
     }
-    Ok(report)
-}
-
-/// PL067 (dynamic, the spill twin of PL064): execute `plan` in spill
-/// mode under `policy` at the bounds' batch granularity and check
-/// that the observed *resident* peak, batch pulls, and output
-/// cardinality all stay inside the spill-capped static bounds — and
-/// that the run released every temp page it borrowed.
-///
-/// `bounds` must come from [`analyze_bounds_spill`] with the same
-/// `policy` and batch granularity, or the comparison is meaningless.
-///
-/// # Errors
-/// Propagates execution failures ([`EngineError`]) — a failed run
-/// proves nothing about the bounds.
-pub fn lint_spill_soundness(
-    store: &XmlStore,
-    pattern: &Pattern,
-    bounds: &ResourceBounds,
-    plan: &PlanNode,
-    policy: SpillPolicy,
-) -> Result<Report, EngineError> {
-    let guard = Arc::new(QueryGuard::unlimited());
-    let before = store.spill().live_pages();
-    let result =
-        execute_spill_with_batch_rows(store, pattern, plan, bounds.batch_rows, &guard, policy)?;
-    let mut report = Report::default();
-    if result.metrics.peak_bytes > bounds.peak_bytes {
+    let pages_after = store.spill().live_pages();
+    if opts.spill.is_some() && pages_after > pages_before {
         report.push(
-            Rule::SpillBoundSound,
+            rule,
             "root",
             format!(
-                "observed resident peak {} B exceeds the spill-capped static bound {} B",
-                result.metrics.peak_bytes, bounds.peak_bytes
-            ),
-        );
-    }
-    let pulled = guard.batches_pulled();
-    if pulled > bounds.batch_pulls {
-        report.push(
-            Rule::SpillBoundSound,
-            "root",
-            format!("observed {pulled} batch pulls exceed the static bound {}", bounds.batch_pulls),
-        );
-    }
-    let root = bounds.root_rows();
-    let rows = result.metrics.output_tuples;
-    if rows < root.lo || rows > root.hi {
-        report.push(
-            Rule::SpillBoundSound,
-            "root",
-            format!("{rows} output rows fall outside the root interval [{}, {}]", root.lo, root.hi),
-        );
-    }
-    let after = store.spill().live_pages();
-    if after > before {
-        report.push(
-            Rule::SpillBoundSound,
-            "root",
-            format!(
-                "run leaked {} temp pages ({before} live before, {after} after)",
-                after - before
+                "run leaked {} temp pages ({pages_before} live before, {pages_after} after)",
+                pages_after - pages_before
             ),
         );
     }
@@ -821,8 +661,9 @@ pub fn lint_resources(
     model: &CostModel,
     plan: &PlanNode,
 ) -> Result<(ResourceBounds, Report), EngineError> {
-    let (bounds, mut report) = lint_bounds(pattern, estimates, model, plan, BATCH_ROWS);
-    let dynamic = lint_bound_soundness(store, pattern, &bounds, plan)?;
+    let opts = ExecOptions::default();
+    let (bounds, mut report) = lint_bounds(pattern, estimates, model, plan, opts.batch_rows);
+    let dynamic = lint_bound_soundness(store, pattern, &bounds, plan, &opts)?;
     report.absorb("replay", dynamic);
     Ok((bounds, report))
 }
@@ -830,6 +671,7 @@ pub fn lint_resources(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sjos_exec::{SpillPolicy, BATCH_ROWS};
     use sjos_pattern::parse_pattern;
     use sjos_stats::Catalog;
     use sjos_xml::Document;
@@ -864,6 +706,10 @@ mod tests {
         }
     }
 
+    fn at(batch_rows: usize) -> ExecOptions {
+        ExecOptions { batch_rows, ..ExecOptions::default() }
+    }
+
     const XML: &str = "<db>\
         <dept><emp><name>ada</name></emp><emp><name>bob</name></emp></dept>\
         <dept><emp><name>cat</name></emp></dept>\
@@ -885,7 +731,7 @@ mod tests {
     #[test]
     fn scan_bounds_are_exact() {
         let (_, pattern, est, model) = setup(XML, "//dept//emp");
-        let b = analyze_bounds(&pattern, &est, &model, &scan(0), BATCH_ROWS);
+        let b = analyze_bounds(&pattern, &est, &model, &scan(0), &at(BATCH_ROWS));
         assert_eq!(b.root_rows(), CardInterval { lo: 2, hi: 2 });
         assert_eq!(b.operators[0].buffer_bytes, 0, "scans buffer nothing");
         assert!(b.batch_pulls >= 2);
@@ -895,7 +741,7 @@ mod tests {
     fn depth_levels_tighten_the_join_bound() {
         let (_, pattern, est, model) = setup(XML, "//dept//emp");
         let plan = join(scan(0), scan(1), 0, 1, Axis::Descendant, JoinAlgo::StackTreeDesc);
-        let b = analyze_bounds(&pattern, &est, &model, &plan, BATCH_ROWS);
+        let b = analyze_bounds(&pattern, &est, &model, &plan, &at(BATCH_ROWS));
         // dept occurs at one level, so each emp has ≤ 1 dept ancestor:
         // the bound is |emp| · 1 = 3, not |dept| · |emp| = 6.
         assert_eq!(b.root_rows().hi, 3);
@@ -938,55 +784,9 @@ mod tests {
         let (_, pattern, est, model) = setup(XML, "//dept//emp");
         let inner = join(scan(0), scan(1), 0, 1, Axis::Descendant, JoinAlgo::StackTreeAnc);
         let plan = PlanNode::Sort { input: Box::new(inner), by: PnId(1) };
-        let b = analyze_bounds(&pattern, &est, &model, &plan, BATCH_ROWS);
+        let b = analyze_bounds(&pattern, &est, &model, &plan, &at(BATCH_ROWS));
         let sort = &b.operators[0];
         assert_eq!(sort.buffer_bytes, 3 * 2 * ENTRY, "3 rows × 2 cols");
-    }
-
-    #[test]
-    fn admission_rejects_below_and_admits_above() {
-        let (_, pattern, est, model) = setup(XML, "//dept//emp");
-        let plan = join(scan(0), scan(1), 0, 1, Axis::Descendant, JoinAlgo::StackTreeAnc);
-        let b = analyze_bounds(&pattern, &est, &model, &plan, BATCH_ROWS);
-        assert!(b.peak_bytes > 0);
-        let reject = admit(&b, Some(b.peak_bytes - 1), None);
-        assert!(reject.violates(Rule::MemoryAdmissible));
-        let accept = admit(&b, Some(b.peak_bytes), Some(b.batch_pulls));
-        assert!(accept.is_clean(), "{accept}");
-        let reject_pulls = admit(&b, None, Some(b.batch_pulls - 1));
-        assert!(reject_pulls.violates(Rule::BatchAdmissible));
-    }
-
-    #[test]
-    fn admit_guard_reads_the_guard_budgets() {
-        let (_, pattern, est, model) = setup(XML, "//dept//emp");
-        let plan = join(scan(0), scan(1), 0, 1, Axis::Descendant, JoinAlgo::StackTreeDesc);
-        let b = analyze_bounds(&pattern, &est, &model, &plan, BATCH_ROWS);
-        let tight = QueryGuard::unlimited().with_memory_budget(1);
-        assert!(admit_guard(&b, &tight).violates(Rule::MemoryAdmissible));
-        let unlimited = QueryGuard::unlimited();
-        assert!(admit_guard(&b, &unlimited).is_clean());
-    }
-
-    #[test]
-    fn admit_parallel_scales_the_bounds_by_worker_count() {
-        let (_, pattern, est, model) = setup(XML, "//dept//emp");
-        let plan = join(scan(0), scan(1), 0, 1, Axis::Descendant, JoinAlgo::StackTreeDesc);
-        let b = analyze_bounds(&pattern, &est, &model, &plan, BATCH_ROWS);
-        // A budget that fits the serial bound but not 4 workers' worth.
-        let budget = b.peak_bytes * 2;
-        assert!(admit(&b, Some(budget), None).is_clean());
-        assert!(admit_parallel(&b, 1, Some(budget), None).is_clean());
-        assert!(admit_parallel(&b, 4, Some(budget), None).violates(Rule::MemoryAdmissible));
-        // Batch budget scales the same way.
-        let pulls = b.batch_pulls * 2;
-        assert!(admit_parallel(&b, 2, None, Some(pulls)).is_clean());
-        assert!(admit_parallel(&b, 4, None, Some(pulls)).violates(Rule::BatchAdmissible));
-        // Guard variant reads the guard's budgets.
-        let guard = QueryGuard::unlimited()
-            .with_memory_budget(usize::try_from(budget).expect("test budget fits usize"));
-        assert!(admit_parallel_guard(&b, 4, &guard).violates(Rule::MemoryAdmissible));
-        assert!(admit_parallel_guard(&b, 4, &QueryGuard::unlimited()).is_clean());
     }
 
     #[test]
@@ -997,8 +797,8 @@ mod tests {
             let left = PlanNode::Sort { input: Box::new(inner), by: PnId(1) };
             let plan = join(left, scan(2), 1, 2, Axis::Child, JoinAlgo::StackTreeDesc);
             for rows in [1usize, 3, BATCH_ROWS] {
-                let b = analyze_bounds(&pattern, &est, &model, &plan, rows);
-                let report = lint_bound_soundness(&store, &pattern, &b, &plan).unwrap();
+                let b = analyze_bounds(&pattern, &est, &model, &plan, &at(rows));
+                let report = lint_bound_soundness(&store, &pattern, &b, &plan, &at(rows)).unwrap();
                 assert!(report.is_clean(), "{algo:?} at batch_rows={rows}: {report}");
             }
         }
@@ -1015,6 +815,10 @@ mod tests {
         xml
     }
 
+    fn spill_at(batch_rows: usize, policy: SpillPolicy) -> ExecOptions {
+        ExecOptions { spill: Some(policy), ..at(batch_rows) }
+    }
+
     fn wide_sort_plan() -> PlanNode {
         let inner = join(scan(0), scan(1), 0, 1, Axis::Descendant, JoinAlgo::StackTreeDesc);
         PlanNode::Sort { input: Box::new(inner), by: PnId(0) }
@@ -1025,8 +829,8 @@ mod tests {
         let (_, pattern, est, model) = setup(&wide_xml(3_000), "//dept//emp");
         let plan = wide_sort_plan();
         let policy = SpillPolicy::with_threshold(0);
-        let full = analyze_bounds(&pattern, &est, &model, &plan, 3);
-        let spilled = analyze_bounds_spill(&pattern, &est, &model, &plan, 3, policy);
+        let full = analyze_bounds(&pattern, &est, &model, &plan, &at(3));
+        let spilled = analyze_bounds(&pattern, &est, &model, &plan, &spill_at(3, policy));
         let resident = policy.resident_bound(2, 3) as u64;
         assert!(
             full.operators[0].buffer_bytes > resident,
@@ -1037,27 +841,105 @@ mod tests {
         assert!(spilled.peak_bytes < full.peak_bytes);
     }
 
+    /// `opts` with a guard carrying the given budgets.
+    fn budgeted(opts: &ExecOptions, memory: Option<u64>, pulls: Option<u64>) -> ExecOptions {
+        let mut guard = QueryGuard::unlimited();
+        if let Some(bytes) = memory {
+            guard = guard.with_memory_budget(usize::try_from(bytes).expect("test budget fits"));
+        }
+        if let Some(pulls) = pulls {
+            guard = guard.with_batch_budget(pulls);
+        }
+        ExecOptions { guard: Some(Arc::new(guard)), ..opts.clone() }
+    }
+
     #[test]
-    fn degraded_admission_admits_what_in_memory_rejects() {
+    fn admit_follows_the_options() {
         let (_, pattern, est, model) = setup(&wide_xml(3_000), "//dept//emp");
         let plan = wide_sort_plan();
-        let policy = SpillPolicy::with_threshold(0);
-        let full = analyze_bounds(&pattern, &est, &model, &plan, 3);
-        let spilled = analyze_bounds_spill(&pattern, &est, &model, &plan, 3, policy);
-        // A budget between the two bounds: in-memory admission rejects,
-        // degraded admission accepts the same plan.
-        let budget = spilled.peak_bytes;
-        assert!(budget < full.peak_bytes);
-        assert!(admit(&full, Some(budget), None).violates(Rule::MemoryAdmissible));
-        let degraded = admit_spill(&spilled, Some(budget), None);
-        assert!(degraded.is_clean(), "{degraded}");
-        // Below even the resident floor, spilling cannot save the plan.
-        let hopeless = admit_spill(&spilled, Some(spilled.peak_bytes - 1), None);
-        assert!(hopeless.violates(Rule::SpillAdmissible));
-        let tight = QueryGuard::unlimited().with_memory_budget(1);
-        assert!(admit_spill_guard(&spilled, &tight).violates(Rule::SpillAdmissible));
-        let unlimited = QueryGuard::unlimited();
-        assert!(admit_spill_guard(&spilled, &unlimited).is_clean());
+        let serial = at(3);
+        let two = ExecOptions { threads: 2, ..serial.clone() };
+        let spill = spill_at(3, SpillPolicy::with_threshold(0));
+        let spill_two = ExecOptions { threads: 2, ..spill.clone() };
+        let full = analyze_bounds(&pattern, &est, &model, &plan, &serial);
+        let resident = analyze_bounds(&pattern, &est, &model, &plan, &spill);
+        assert!(resident.peak_bytes < full.peak_bytes, "spilling must shrink the certificate");
+        assert_eq!(full.scaled(&two), (2 * full.peak_bytes, 2 * full.batch_pulls));
+        // Spilling runs as one morsel, so its certificate is unscaled.
+        assert_eq!(resident.scaled(&spill_two), (resident.peak_bytes, resident.batch_pulls));
+        let (peak, pulls) = (full.peak_bytes, full.batch_pulls);
+        let floor = resident.peak_bytes;
+        let cases = [
+            ("serial, no guard", &full, serial.clone(), None),
+            ("serial, exact budgets", &full, budgeted(&serial, Some(peak), Some(pulls)), None),
+            (
+                "serial, one byte short",
+                &full,
+                budgeted(&serial, Some(peak - 1), None),
+                Some(Rule::MemoryAdmissible),
+            ),
+            (
+                "serial, one pull short",
+                &full,
+                budgeted(&serial, None, Some(pulls - 1)),
+                Some(Rule::BatchAdmissible),
+            ),
+            (
+                "2 workers, serial bytes",
+                &full,
+                budgeted(&two, Some(peak), None),
+                Some(Rule::MemoryAdmissible),
+            ),
+            (
+                "2 workers, serial pulls",
+                &full,
+                budgeted(&two, None, Some(pulls)),
+                Some(Rule::BatchAdmissible),
+            ),
+            ("2 workers, doubled", &full, budgeted(&two, Some(2 * peak), Some(2 * pulls)), None),
+            (
+                "in memory at the spill floor",
+                &full,
+                budgeted(&serial, Some(floor), None),
+                Some(Rule::MemoryAdmissible),
+            ),
+            ("spill at its floor", &resident, budgeted(&spill, Some(floor), None), None),
+            (
+                "spill below its floor",
+                &resident,
+                budgeted(&spill, Some(floor - 1), None),
+                Some(Rule::SpillAdmissible),
+            ),
+            (
+                "spill, 2 threads, at its floor",
+                &resident,
+                budgeted(&spill_two, Some(floor), None),
+                None,
+            ),
+            (
+                "spill, 2 threads, below its floor",
+                &resident,
+                budgeted(&spill_two, Some(floor - 1), None),
+                Some(Rule::SpillAdmissible),
+            ),
+            ("starved", &full, budgeted(&serial, Some(1), None), Some(Rule::MemoryAdmissible)),
+            (
+                "starved under spill",
+                &resident,
+                budgeted(&spill, Some(1), None),
+                Some(Rule::SpillAdmissible),
+            ),
+        ];
+        for (name, bounds, opts, expect) in cases {
+            let report = admit(bounds, &opts);
+            match expect {
+                None => assert!(report.is_clean(), "{name}: {report}"),
+                Some(rule) => {
+                    assert!(report.violates(rule), "{name}: {report}");
+                    assert_eq!(report.diagnostics.len(), 1, "{name}: {report}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1066,8 +948,9 @@ mod tests {
         let plan = wide_sort_plan();
         let policy = SpillPolicy::with_threshold(4096);
         for rows in [3usize, BATCH_ROWS] {
-            let b = analyze_bounds_spill(&pattern, &est, &model, &plan, rows, policy);
-            let report = lint_spill_soundness(&store, &pattern, &b, &plan, policy).unwrap();
+            let opts = spill_at(rows, policy);
+            let b = analyze_bounds(&pattern, &est, &model, &plan, &opts);
+            let report = lint_bound_soundness(&store, &pattern, &b, &plan, &opts).unwrap();
             assert!(report.is_clean(), "batch_rows={rows}: {report}");
             assert_eq!(store.spill().live_pages(), 0, "replay leaked temp pages");
         }
@@ -1076,7 +959,7 @@ mod tests {
     #[test]
     fn value_predicates_zero_the_lower_bound() {
         let (_, pattern, est, model) = setup(XML, "//emp/name[text()='ada']");
-        let b = analyze_bounds(&pattern, &est, &model, &scan(1), BATCH_ROWS);
+        let b = analyze_bounds(&pattern, &est, &model, &scan(1), &at(BATCH_ROWS));
         assert_eq!(b.root_rows().lo, 0, "a predicate may filter everything");
         assert_eq!(b.root_rows().hi, 3, "…but never adds rows");
     }

@@ -23,7 +23,7 @@
 //! cut, and demands the concatenated morsel outputs and the summed
 //! per-morsel work counters match the serial run bit for bit.
 
-use sjos_exec::{execute, execute_parallel, EngineError, PlanNode, QueryResult};
+use sjos_exec::{execute, EngineError, ExecOptions, PlanNode, QueryResult};
 use sjos_pattern::Pattern;
 use sjos_storage::{FaultPlan, RetryPolicy, StoreConfig, XmlStore};
 
@@ -36,8 +36,8 @@ use crate::diag::{Report, Rule};
 /// empty or unsorted root batch first, with a panic; a release build
 /// reports those as PL034 diagnostics.
 pub fn lint_execution(store: &XmlStore, pattern: &Pattern, plan: &PlanNode) -> Report {
-    match execute(store, pattern, plan) {
-        Ok(result) => lint_batches(&result, plan),
+    match execute(store, pattern, plan, &ExecOptions::default()) {
+        Ok(outcome) => lint_batches(&outcome.result, plan),
         Err(e) => {
             let mut report = Report::default();
             report.push(Rule::BatchContract, "root", format!("plan failed validation: {e}"));
@@ -55,8 +55,8 @@ pub fn lint_execution(store: &XmlStore, pattern: &Pattern, plan: &PlanNode) -> R
 /// zero records) are skipped — there is nothing to corrupt.
 pub fn lint_error_surfacing(store: &XmlStore, pattern: &Pattern, plan: &PlanNode) -> Report {
     let mut report = Report::default();
-    let clean = match execute(store, pattern, plan) {
-        Ok(r) => r,
+    let clean = match execute(store, pattern, plan, &ExecOptions::default()) {
+        Ok(o) => o.result,
         Err(e) => {
             report.push(
                 Rule::ErrorSurfaced,
@@ -74,7 +74,7 @@ pub fn lint_error_surfacing(store: &XmlStore, pattern: &Pattern, plan: &PlanNode
         StoreConfig { retry: RetryPolicy::no_backoff(2), ..StoreConfig::default() },
         FaultPlan { seed: 0x51_05, sticky_corrupt: 1.0, ..FaultPlan::none() },
     );
-    match execute(&faulty, pattern, plan) {
+    match execute(&faulty, pattern, plan, &ExecOptions::default()) {
         Err(EngineError::Storage(_)) => {}
         Err(e) => report.push(
             Rule::ErrorSurfaced,
@@ -87,7 +87,7 @@ pub fn lint_error_surfacing(store: &XmlStore, pattern: &Pattern, plan: &PlanNode
             format!(
                 "fault-armed store produced {} rows with no error — the engine \
                  swallowed a storage fault",
-                r.len()
+                r.result.len()
             ),
         ),
     }
@@ -116,24 +116,25 @@ pub fn lint_partition(
     threads: usize,
 ) -> Report {
     let mut report = Report::default();
-    let serial = match execute(store, pattern, plan) {
-        Ok(r) => r,
+    let serial = match execute(store, pattern, plan, &ExecOptions::default()) {
+        Ok(o) => o.result,
         Err(e) => {
             report.push(Rule::PartitionSound, "root", format!("serial baseline failed: {e}"));
             return report;
         }
     };
-    let par = match execute_parallel(store, pattern, plan, threads) {
-        Ok(p) => p,
-        Err(e) => {
-            report.push(
-                Rule::PartitionSound,
-                "root",
-                format!("parallel run failed where the serial run succeeded: {e}"),
-            );
-            return report;
-        }
-    };
+    let par =
+        match execute(store, pattern, plan, &ExecOptions { threads, ..ExecOptions::default() }) {
+            Ok(p) => p,
+            Err(e) => {
+                report.push(
+                    Rule::PartitionSound,
+                    "root",
+                    format!("parallel run failed where the serial run succeeded: {e}"),
+                );
+                return report;
+            }
+        };
 
     if !par.cuts.windows(2).all(|w| w[0] < w[1]) {
         report.push(
@@ -440,12 +441,13 @@ mod tests {
     #[test]
     fn corrupted_stream_fires_each_check() {
         let (store, pattern, plan) = setup("//a/b/c");
-        let clean = execute(&store, &pattern, &plan).unwrap();
+        let clean = execute(&store, &pattern, &plan, &ExecOptions::default()).unwrap().result;
         assert!(lint_batches(&clean, &plan).is_clean());
         assert!(!clean.tuples.is_empty(), "fixture query must match");
 
         // Unsorted within a batch: reverse the rows of the first batch.
-        let mut unsorted = execute(&store, &pattern, &plan).unwrap();
+        let mut unsorted =
+            execute(&store, &pattern, &plan, &ExecOptions::default()).unwrap().result;
         let mut batches = std::mem::take(&mut unsorted.tuples).into_batches();
         let rows: Vec<_> = (0..batches[0].len()).rev().map(|r| batches[0].row(r)).collect();
         batches[0] = sjos_exec::TupleBatch::from_rows(
@@ -457,7 +459,7 @@ mod tests {
         assert!(report.violates(Rule::BatchContract), "{}", report.render());
 
         // Row counts out of step with output_tuples.
-        let mut short = execute(&store, &pattern, &plan).unwrap();
+        let mut short = execute(&store, &pattern, &plan, &ExecOptions::default()).unwrap().result;
         let mut batches = std::mem::take(&mut short.tuples).into_batches();
         batches.pop();
         short.tuples = Rows::from_batches(batches);
@@ -469,7 +471,7 @@ mod tests {
         );
 
         // Ordering regressing across batches: duplicate the stream.
-        let mut doubled = execute(&store, &pattern, &plan).unwrap();
+        let mut doubled = execute(&store, &pattern, &plan, &ExecOptions::default()).unwrap().result;
         let copy = doubled.tuples.clone();
         doubled.tuples.append(copy);
         let report = lint_batches(&doubled, &plan);

@@ -37,16 +37,16 @@
 //!   against [`sjos_exec::QueryGuard`] budgets as a static admission
 //!   predicate; one dynamic rule replays executions to certify the
 //!   bounds are never exceeded (PL060–PL064);
-//! * memory pressure degrades gracefully instead of rejecting — a
-//!   spill-mode variant of the bound analysis
-//!   ([`analyze_bounds_spill`]) caps every sort at its
-//!   [`sjos_exec::SpillPolicy`] resident footprint, [`admit_spill`]
-//!   turns that into a second-tier *degraded* admission predicate for
-//!   plans the in-memory bound rejects, and a dynamic replay certifies
-//!   the spill cap is a real upper bound (PL066–PL067);
+//! * memory pressure degrades gracefully instead of rejecting — given
+//!   [`sjos_exec::ExecOptions`] that carry a
+//!   [`sjos_exec::SpillPolicy`], the same analysis caps every sort at
+//!   its resident footprint, [`admit`] turns that into a second-tier
+//!   *degraded* admission predicate for plans the in-memory bound
+//!   rejects, and the same replay certifies the spill cap is a real
+//!   upper bound (PL066–PL067);
 //! * morsel-driven parallel runs are exact, not approximately right —
-//!   [`admit_parallel`] scales the static bounds by the worker count
-//!   before a parallel admission, and a dynamic rule
+//!   [`ResourceBounds::scaled`] multiplies the static bounds by the
+//!   options' worker count before a parallel admission, and a dynamic rule
 //!   ([`lint_partition`], PL068) executes the plan serially and
 //!   partitioned, proves no scanned interval straddles a cut, and
 //!   demands outputs and summed work counters match the
@@ -84,10 +84,8 @@ pub mod status_rules;
 pub mod trace;
 
 pub use bounds::{
-    admit, admit_guard, admit_parallel, admit_parallel_guard, admit_spill, admit_spill_guard,
-    analyze_bounds, analyze_bounds_spill, lint_bound_soundness, lint_bounds, lint_resources,
-    lint_spill_soundness, revalidate_cached, CardInterval, OperatorBounds, ResourceBounds,
-    DEFAULT_MEMORY_BUDGET,
+    admit, analyze_bounds, lint_bound_soundness, lint_bounds, lint_resources, revalidate_cached,
+    CardInterval, OperatorBounds, ResourceBounds, DEFAULT_MEMORY_BUDGET,
 };
 pub use conc::{
     apply_static_mutation, collect_sources, explore, lint_concurrency, lint_sources, ExploreConfig,

@@ -81,7 +81,7 @@ impl Page {
     }
 
     /// Checksum of the page: a multiply-xor over its little-endian
-    /// `u32` words in [`CHECKSUM_LANES`] independent lanes (word `i`
+    /// `u32` words in `CHECKSUM_LANES` independent lanes (word `i`
     /// feeds lane `i % CHECKSUM_LANES`), the lanes then folded one by
     /// one. The checksum word itself reads as 0, and a result of 0 is
     /// mapped to 1 (0 is reserved to mean "unstamped").

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut ordered = sjos::parse_pattern("//inproceedings[./cite]/title")?;
     ordered.set_order_by(PnId(0));
     let plan = db.optimize(&ordered, Algorithm::Fp).expect("optimizes");
-    let res = db.execute(&ordered, &plan.plan)?;
+    let res = db.execute(&ordered, &plan.plan, &sjos::ExecOptions::default())?;
     println!(
         "\n//inproceedings[./cite]/title order by node 0\n  plan {} (pipelined: {})\n  {} matches, {} sorts",
         plan.plan,

@@ -37,7 +37,7 @@ fn main() {
             algo,
         };
         let t0 = Instant::now();
-        let res = db.execute(&pattern, &plan).unwrap();
+        let res = db.execute(&pattern, &plan, &sjos::ExecOptions::default()).unwrap();
         let extra = match algo {
             JoinAlgo::StackTreeDesc => format!("{} stack ops", res.metrics.stack_pushes * 2),
             JoinAlgo::StackTreeAnc => format!("{} buffered", res.metrics.buffered_pairs),

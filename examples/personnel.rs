@@ -39,7 +39,7 @@ fn main() {
         let pattern = sjos::parse_pattern(query).unwrap();
         let optimized = db.optimize(&pattern, alg).expect("optimizes");
         let opt_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let result = db.execute(&pattern, &optimized.plan).unwrap();
+        let result = db.execute(&pattern, &optimized.plan, &sjos::ExecOptions::default()).unwrap();
         match reference {
             Some(n) => assert_eq!(n, result.len(), "all plans must agree"),
             None => reference = Some(result.len()),

@@ -300,7 +300,7 @@ fn run_query(session: &Session, query: &str, mode: Mode) {
     if mode == Mode::Explain {
         return;
     }
-    match session.db.execute(&pattern, &optimized.plan) {
+    match session.db.execute(&pattern, &optimized.plan, &sjos::ExecOptions::default()) {
         Ok(result) => {
             println!("{}", analyze_summary(&result));
             if mode == Mode::Query {

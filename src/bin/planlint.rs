@@ -35,7 +35,7 @@ use sjos::core::{mutate_plan, Algorithm, PlanMutation};
 use sjos::datagen::{dblp::dblp, mbench::mbench, pers::pers, GenConfig};
 use sjos::explain::explain;
 use sjos::service::models::{healthy_models, mutated_models};
-use sjos::{Database, Document};
+use sjos::{Database, Document, ExecOptions, QueryGuard};
 use sjos_planck::{
     admit, analyze_plan, apply_static_mutation, certify_trace, collect_sources, corrupt_trace,
     explore, lint_bound_soundness, lint_bounds, lint_dataflow, lint_error_surfacing,
@@ -561,6 +561,16 @@ fn render_trace(trace: &[usize]) -> String {
     steps.join(" ")
 }
 
+/// `run` under a guard carrying the given budgets.
+fn budgeted(run: &ExecOptions, memory_budget: u64, batch_budget: Option<u64>) -> ExecOptions {
+    let mut guard = QueryGuard::unlimited()
+        .with_memory_budget(usize::try_from(memory_budget).unwrap_or(usize::MAX));
+    if let Some(pulls) = batch_budget {
+        guard = guard.with_batch_budget(pulls);
+    }
+    ExecOptions { guard: Some(std::sync::Arc::new(guard)), ..run.clone() }
+}
+
 /// Static admission control: derive guaranteed resource bounds for the
 /// optimized plan, lint the bound lattice (PL060/PL061), compare it
 /// against the budgets (PL062/PL063), and replay one execution to
@@ -574,9 +584,10 @@ fn run_admit(opts: &Options, db: &Database, pattern: &sjos::Pattern) -> Result<b
     let memory_budget = opts.memory_budget.unwrap_or(DEFAULT_MEMORY_BUDGET);
 
     let (bounds, mut report) = lint_bounds(pattern, &estimates, &model, &plan, opts.batch_rows);
-    report.absorb("admit", admit(&bounds, Some(memory_budget), opts.batch_budget));
-    let replay =
-        lint_bound_soundness(db.store(), pattern, &bounds, &plan).map_err(|e| e.to_string())?;
+    let run = ExecOptions { batch_rows: opts.batch_rows, ..ExecOptions::default() };
+    report.absorb("admit", admit(&bounds, &budgeted(&run, memory_budget, opts.batch_budget)));
+    let replay = lint_bound_soundness(db.store(), pattern, &bounds, &plan, &run)
+        .map_err(|e| e.to_string())?;
     report.absorb("replay", replay);
 
     if opts.json {
@@ -755,8 +766,9 @@ fn selftest(db: &Database, pattern: &sjos::Pattern) -> Result<bool, String> {
         };
         let (bounds, mut report) =
             lint_bounds(pattern, &estimates, &model, &plan, sjos::exec::BATCH_ROWS);
-        report.absorb("admit", admit(&bounds, Some(DEFAULT_MEMORY_BUDGET), None));
-        match lint_bound_soundness(db.store(), pattern, &bounds, &plan) {
+        let run = ExecOptions::default();
+        report.absorb("admit", admit(&bounds, &budgeted(&run, DEFAULT_MEMORY_BUDGET, None)));
+        match lint_bound_soundness(db.store(), pattern, &bounds, &plan, &run) {
             Ok(replay) => report.absorb("replay", replay),
             Err(e) => {
                 println!("  {:<12} FAILED to replay: {e}", algorithm.name());
@@ -779,7 +791,7 @@ fn selftest(db: &Database, pattern: &sjos::Pattern) -> Result<bool, String> {
 
     println!("== starved budget (expected rejected) ==");
     let (bounds, _) = lint_bounds(pattern, &estimates, &model, &base, sjos::exec::BATCH_ROWS);
-    let starved = admit(&bounds, Some(1), Some(1));
+    let starved = admit(&bounds, &budgeted(&ExecOptions::default(), 1, Some(1)));
     if starved.is_clean() {
         println!("  1 B / 1 pull budget MISSED");
         ok = false;

@@ -178,9 +178,7 @@ mod tests {
 
     #[test]
     fn analyze_summary_reports_spill_traffic_only_when_spilled() {
-        use std::sync::Arc;
-
-        use sjos_exec::{JoinAlgo, PlanNode, QueryGuard, SpillPolicy};
+        use sjos_exec::{ExecOptions, JoinAlgo, PlanNode, SpillPolicy};
         use sjos_pattern::{Axis, PnId};
 
         let mut xml = String::from("<dept>");
@@ -199,20 +197,14 @@ mod tests {
             algo: JoinAlgo::StackTreeDesc,
         };
         let plan = PlanNode::Sort { input: Box::new(inner), by: PnId(0) };
-        let guard = Arc::new(QueryGuard::unlimited());
-        let spilled = sjos_exec::execute_guarded_spill(
-            db.store(),
-            &pattern,
-            &plan,
-            &guard,
-            SpillPolicy::with_threshold(0),
-        )
-        .unwrap();
+        let spill =
+            ExecOptions { spill: Some(SpillPolicy::with_threshold(0)), ..ExecOptions::default() };
+        let spilled = db.execute(&pattern, &plan, &spill).unwrap();
         let s = analyze_summary(&spilled);
         assert!(s.contains("spill:"), "{s}");
         assert!(s.contains("pages written"), "{s}");
 
-        let resident = sjos_exec::execute(db.store(), &pattern, &plan).unwrap();
+        let resident = db.execute(&pattern, &plan, &ExecOptions::default()).unwrap();
         let s = analyze_summary(&resident);
         assert!(!s.contains("spill:"), "in-memory summary must keep the classic shape: {s}");
     }

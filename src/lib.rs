@@ -61,8 +61,8 @@ pub use sjos_xml as xml;
 pub use sjos_core::OptimizerError;
 pub use sjos_core::{optimize, Algorithm, CostModel, OptimizedPlan};
 pub use sjos_exec::{
-    execute, CancelToken, EngineError, GuardBreach, PlanNode, QueryGuard, QueryResult, SpillPolicy,
-    TupleBatch, BATCH_ROWS,
+    execute, CancelToken, EngineError, ExecOptions, ExecOutcome, GuardBreach, PlanNode, QueryGuard,
+    QueryResult, SpillPolicy, TupleBatch, BATCH_ROWS,
 };
 pub use sjos_pattern::{parse_pattern, Pattern};
 pub use sjos_stats::{Catalog, PatternEstimates};
@@ -195,23 +195,18 @@ impl Database {
         Ok(optimize(pattern, &est, &self.model, algorithm)?)
     }
 
-    /// Execute an explicit plan for a pattern.
-    pub fn execute(&self, pattern: &Pattern, plan: &PlanNode) -> Result<QueryResult, Error> {
-        Ok(execute(&self.store, pattern, plan)?)
-    }
-
-    /// Execute an explicit plan under a resource [`QueryGuard`]:
-    /// deadline, batch budget, memory budget, and cancellation are
-    /// checked at every batch boundary, so a runaway plan stops
-    /// within one batch of tripping a limit. On a breach the error
-    /// carries the metrics accumulated up to the stop.
-    pub fn execute_guarded(
+    /// Execute an explicit plan for a pattern under `opts`: its guard
+    /// (deadline, batch and memory budgets, cancellation — checked at
+    /// every batch boundary, so a runaway plan stops within one batch
+    /// and the error carries the metrics accumulated so far), batch
+    /// size, collect-vs-count, spill policy, and worker threads.
+    pub fn execute(
         &self,
         pattern: &Pattern,
         plan: &PlanNode,
-        guard: &Arc<QueryGuard>,
+        opts: &ExecOptions,
     ) -> Result<QueryResult, Error> {
-        Ok(sjos_exec::execute_guarded(&self.store, pattern, plan, guard)?)
+        Ok(execute(&self.store, pattern, plan, opts)?.result)
     }
 
     /// Measure this machine's cost factors against the loaded data
@@ -228,8 +223,9 @@ impl Database {
         (self, report)
     }
 
-    /// Derive guaranteed resource bounds for an explicit plan at the
-    /// default batch granularity: cardinality intervals per operator
+    /// Derive guaranteed resource bounds for an explicit plan under
+    /// [`ExecOptions::default`] (serial, in memory, [`BATCH_ROWS`] per
+    /// batch): cardinality intervals per operator
     /// plus worst-case peak buffering bytes and batch-pull counts,
     /// computed from the catalog's exact index statistics without
     /// executing anything (planck's PL060–PL064 family).
@@ -239,67 +235,27 @@ impl Database {
         plan: &PlanNode,
     ) -> sjos_planck::ResourceBounds {
         let est = self.estimates(pattern);
-        sjos_planck::analyze_bounds(pattern, &est, &self.model, plan, BATCH_ROWS)
+        sjos_planck::analyze_bounds(pattern, &est, &self.model, plan, &ExecOptions::default())
     }
 
-    /// Static admission control: decide *before execution* whether
-    /// `plan` can possibly breach `guard`'s memory or batch budgets.
-    /// A clean report means no execution of the plan on this database
-    /// can trip the guard; running it is then breach-free by
-    /// construction rather than by mid-flight termination.
+    /// Static admission control: derive `plan`'s bounds under `opts`
+    /// and decide *before execution* whether a run under the same
+    /// `opts` can breach its guard's memory or batch budgets. A clean
+    /// report means no such run on this database can trip the guard;
+    /// running it is then breach-free by construction rather than by
+    /// mid-flight termination. With a spill policy in `opts` this is
+    /// the degraded tier (PL066): a clean report admits in spill mode
+    /// a plan whose in-memory bound the guard rejected.
     pub fn admit(
         &self,
         pattern: &Pattern,
         plan: &PlanNode,
-        guard: &QueryGuard,
+        opts: &ExecOptions,
     ) -> (sjos_planck::ResourceBounds, sjos_planck::Report) {
-        let bounds = self.resource_bounds(pattern, plan);
-        let report = sjos_planck::admit_guard(&bounds, guard);
-        (bounds, report)
-    }
-
-    /// [`Database::resource_bounds`] re-derived under a spill policy:
-    /// every sort's buffer term is capped at the policy's *resident*
-    /// bound because the rest of its input lives in temp pages — the
-    /// certificate behind degraded admission (planck's PL066).
-    pub fn resource_bounds_spill(
-        &self,
-        pattern: &Pattern,
-        plan: &PlanNode,
-        policy: SpillPolicy,
-    ) -> sjos_planck::ResourceBounds {
         let est = self.estimates(pattern);
-        sjos_planck::analyze_bounds_spill(pattern, &est, &self.model, plan, BATCH_ROWS, policy)
-    }
-
-    /// Degraded static admission: like [`Database::admit`], but with
-    /// every sort allowed to spill under `policy`. A clean report
-    /// admits in spill mode a plan whose in-memory bound the guard
-    /// rejected (PL066).
-    pub fn admit_spill(
-        &self,
-        pattern: &Pattern,
-        plan: &PlanNode,
-        guard: &QueryGuard,
-        policy: SpillPolicy,
-    ) -> (sjos_planck::ResourceBounds, sjos_planck::Report) {
-        let bounds = self.resource_bounds_spill(pattern, plan, policy);
-        let report = sjos_planck::admit_spill_guard(&bounds, guard);
+        let bounds = sjos_planck::analyze_bounds(pattern, &est, &self.model, plan, opts);
+        let report = sjos_planck::admit(&bounds, opts);
         (bounds, report)
-    }
-
-    /// Execute an explicit plan with sorts spilling through the buffer
-    /// pool under `policy` — the degraded execution mode paired with
-    /// [`Database::admit_spill`]. Output is bit-identical to the
-    /// in-memory path; only the resident footprint changes.
-    pub fn execute_spill(
-        &self,
-        pattern: &Pattern,
-        plan: &PlanNode,
-        guard: &Arc<QueryGuard>,
-        policy: SpillPolicy,
-    ) -> Result<QueryResult, Error> {
-        Ok(sjos_exec::execute_guarded_spill(&self.store, pattern, plan, guard, policy)?)
     }
 
     /// Evaluate a pattern with the holistic twig join (TwigStack)
@@ -320,7 +276,7 @@ impl Database {
     pub fn query_with(&self, query: &str, algorithm: Algorithm) -> Result<QueryOutcome, Error> {
         let pattern = parse_pattern(query)?;
         let optimized = self.optimize(&pattern, algorithm)?;
-        let result = self.execute(&pattern, &optimized.plan)?;
+        let result = self.execute(&pattern, &optimized.plan, &ExecOptions::default())?;
         Ok(QueryOutcome { optimized, result })
     }
 }
@@ -369,16 +325,20 @@ mod tests {
         let bounds = db.resource_bounds(&pattern, &plan);
         assert!(bounds.peak_bytes > 0);
 
-        let starved = QueryGuard::unlimited().with_memory_budget(1);
+        let under = |guard: QueryGuard| ExecOptions {
+            guard: Some(Arc::new(guard)),
+            ..ExecOptions::default()
+        };
+        let starved = under(QueryGuard::unlimited().with_memory_budget(1));
         let (_, report) = db.admit(&pattern, &plan, &starved);
         assert!(!report.is_clean(), "a 1-byte budget must reject the plan");
 
-        let roomy = QueryGuard::unlimited().with_memory_budget(bounds.peak_bytes as usize);
+        let roomy = under(QueryGuard::unlimited().with_memory_budget(bounds.peak_bytes as usize));
         let (_, report) = db.admit(&pattern, &plan, &roomy);
         assert!(report.is_clean(), "{report}");
         // Admission is a guarantee: the admitted plan runs to
-        // completion under the same guard.
-        db.execute_guarded(&pattern, &plan, &Arc::new(roomy)).unwrap();
+        // completion under the same options.
+        db.execute(&pattern, &plan, &roomy).unwrap();
     }
 
     #[test]

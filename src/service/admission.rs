@@ -137,7 +137,7 @@ impl AdmissionController {
         // fit test subtracts (`in_use <= budget` always holds) instead
         // of adding, which could wrap near `u64::MAX`.
         if state.queue.is_empty() && certified_bytes <= self.budget - state.in_use {
-            return Ok(self.grant(&mut state, certified_bytes));
+            return Ok(self.grant(&mut state, certified_bytes, Duration::ZERO));
         }
         if state.queue.len() >= self.queue_capacity {
             return Err(reject(RejectReason::QueueFull, Duration::ZERO));
@@ -163,7 +163,7 @@ impl AdmissionController {
             let at_head = state.queue.front() == Some(&ticket);
             if at_head && certified_bytes <= self.budget - state.in_use {
                 state.queue.pop_front();
-                let permit = self.grant(&mut state, certified_bytes);
+                let permit = self.grant(&mut state, certified_bytes, waited);
                 // The next waiter may also fit in what remains.
                 self.cond.notify_all();
                 return Ok(permit);
@@ -177,12 +177,17 @@ impl AdmissionController {
         }
     }
 
-    fn grant<'c>(&'c self, state: &mut AdmState, certified_bytes: u64) -> AdmissionPermit<'c> {
+    fn grant<'c>(
+        &'c self,
+        state: &mut AdmState,
+        certified_bytes: u64,
+        waited: Duration,
+    ) -> AdmissionPermit<'c> {
         state.in_use += certified_bytes;
         state.peak_in_use = state.peak_in_use.max(state.in_use);
         debug_assert!(state.in_use <= self.budget, "admission invariant violated");
         self.admitted.fetch_add(1, Ordering::Relaxed);
-        AdmissionPermit { controller: self, certified_bytes }
+        AdmissionPermit { controller: self, certified_bytes, waited }
     }
 
     /// Counters and current reservation state.
@@ -206,12 +211,19 @@ impl AdmissionController {
 pub struct AdmissionPermit<'c> {
     controller: &'c AdmissionController,
     certified_bytes: u64,
+    waited: Duration,
 }
 
 impl AdmissionPermit<'_> {
     /// The certified bytes this permit reserves.
     pub fn certified_bytes(&self) -> u64 {
         self.certified_bytes
+    }
+
+    /// How long the request queued before the grant
+    /// (`Duration::ZERO` on the fast path).
+    pub fn waited(&self) -> Duration {
+        self.waited
     }
 }
 

@@ -16,8 +16,8 @@
 //!    certificates are sound upper bounds (PL064), the aggregate
 //!    *measured* footprint of admitted queries provably cannot exceed
 //!    the budget. A certificate that can *never* fit degrades instead
-//!    of failing: the plan is re-certified in spill mode
-//!    ([`sjos_planck::analyze_bounds_spill`], PL066) where sorts park
+//!    of failing: the plan is re-certified under
+//!    [`ExecOptions`] with a spill policy (PL066), where sorts park
 //!    their buffers in temp pages, and admitted under the smaller
 //!    resident certificate — the query runs slower but answers
 //!    bit-identically.
@@ -27,11 +27,12 @@
 //!    revalidated against the live catalog generation (PL065).
 //! 3. **Intra-query parallelism** ([`ServiceConfig::parallelism`]).
 //!    Above 1, non-degraded queries run morsel-partitioned through
-//!    [`sjos_exec::parallel`]: admission reserves `parallelism ×` the
-//!    plan's certificate (the aggregate a shared-guard morsel run is
-//!    bounded by), falling back to serial admission when the scaled
-//!    reservation does not fit; results and metric totals stay
-//!    bit-identical to the serial run (PL068).
+//!    [`sjos_exec::execute`]: admission reserves `parallelism ×` the
+//!    plan's certificate ([`sjos_planck::ResourceBounds::scaled`], the
+//!    aggregate a shared-guard morsel run is bounded by), falling back
+//!    to serial admission when the scaled reservation does not fit;
+//!    results and metric totals stay bit-identical to the serial run
+//!    (PL068).
 //! 4. **Observability** ([`metrics`]). Per-session and aggregate
 //!    counters — admitted/queued/rejected, cache hit rate, latency
 //!    percentiles, certified vs. measured peaks — export as JSON via
@@ -51,7 +52,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sjos_core::Algorithm;
-use sjos_exec::{PlanNode, QueryGuard, QueryResult, SpillPolicy, BATCH_ROWS};
+use sjos_exec::{ExecOptions, PlanNode, QueryGuard, QueryResult, SpillPolicy, BATCH_ROWS};
 use sjos_pattern::{parse_pattern, Pattern};
 use sjos_storage::{IoSnapshot, IoTap};
 
@@ -81,7 +82,7 @@ pub struct ServiceConfig {
     /// Worker threads per query (1 = serial, the default). Above 1,
     /// non-degraded queries run morsel-partitioned: admission
     /// reserves `parallelism ×` the plan's certificate (the sound
-    /// aggregate bound — see [`sjos_planck::admit_parallel`]) and
+    /// aggregate bound — see [`sjos_planck::ResourceBounds::scaled`]) and
     /// falls back to serial admission when that scaled reservation
     /// does not fit. Degraded (spill) queries always run serially.
     pub parallelism: usize,
@@ -147,7 +148,9 @@ pub struct ServiceOutcome {
     /// re-certification (PL066) did, so its sorts spilled to temp
     /// pages instead of the query being rejected.
     pub degraded: bool,
-    /// Time spent waiting for admission.
+    /// Time spent queued for admission, summed over the attempts (a
+    /// failed parallel-first attempt included); `Duration::ZERO` when
+    /// every grant took the fast path.
     pub waited: Duration,
     /// This query's own I/O traffic (session-tap attributed).
     pub io: IoSnapshot,
@@ -400,28 +403,30 @@ impl Session {
             Some(d) => inner.config.queue_timeout.min(d),
             None => inner.config.queue_timeout,
         };
-        // Parallel-first: a `parallelism > 1` service reserves
-        // `workers ×` the certificate, the aggregate a shared-guard
-        // morsel run is bounded by (sjos_planck::admit_parallel's
-        // scaling). If the scaled reservation does not fit, the query
-        // falls through to the plain serial path below rather than
-        // being rejected.
-        let workers = inner.config.parallelism.max(1);
-        let mut parallel_grant: Option<(admission::AdmissionPermit<'_>, u64)> = None;
-        if workers > 1 {
-            let scaled = cached.bounds.peak_bytes.saturating_mul(workers as u64);
-            if let Ok(permit) = inner.admission.admit(scaled, wait_limit) {
-                parallel_grant = Some((permit, scaled));
+        // Parallel-first: a `parallelism > 1` service reserves the
+        // certificate scaled to its workers, the aggregate a
+        // shared-guard morsel run is bounded by. If the scaled
+        // reservation does not fit, the query falls through to the
+        // plain serial path below rather than being rejected.
+        let parallel =
+            ExecOptions { threads: inner.config.parallelism.max(1), ..ExecOptions::default() };
+        let mut waited = Duration::ZERO;
+        let mut grant = None;
+        if parallel.threads > 1 {
+            let (scaled, _) = cached.bounds.scaled(&parallel);
+            match inner.admission.admit(scaled, wait_limit) {
+                Ok(permit) => grant = Some((permit, scaled, parallel)),
+                Err(rejection) => waited = rejection.waited,
             }
         }
         let remaining_wait = wait_limit.saturating_sub(started.elapsed());
-        let (permit, certified, spill, parallel) = match parallel_grant {
-            Some((permit, scaled)) => (permit, scaled, None, true),
+        let (permit, certified, opts) = match grant {
+            Some(granted) => granted,
             None => match inner.admission.admit(cached.bounds.peak_bytes, remaining_wait) {
-                Ok(permit) => (permit, cached.bounds.peak_bytes, None, false),
+                Ok(permit) => (permit, cached.bounds.peak_bytes, ExecOptions::default()),
                 Err(rejection) if rejection.reason == RejectReason::NeverFits => {
                     let budget = inner.admission.budget();
-                    let Some((policy, bounds)) =
+                    let Some((spill, bounds)) =
                         degraded_certificate(&inner.db, &pattern, &cached.plan, budget)
                     else {
                         // No sort to spill, or not even the spill
@@ -435,12 +440,12 @@ impl Session {
                         .map_err(ServiceError::Overloaded)?;
                     inner.metrics.degraded_admissions.fetch_add(1, Ordering::Relaxed);
                     self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
-                    (permit, bounds.peak_bytes, Some(policy), false)
+                    (permit, bounds.peak_bytes, spill)
                 }
                 Err(rejection) => return Err(ServiceError::Overloaded(rejection)),
             },
         };
-        let waited = started.elapsed();
+        waited += permit.waited();
 
         // Execute under a guard whose memory budget *is* the
         // certificate: the static admission theorem (PL062/PL064)
@@ -448,46 +453,24 @@ impl Session {
         let mut guard = QueryGuard::unlimited()
             .with_memory_budget(usize::try_from(certified).unwrap_or(usize::MAX));
         if let Some(d) = deadline {
-            guard = guard.with_deadline(d.saturating_sub(waited));
+            guard = guard.with_deadline(d.saturating_sub(started.elapsed()));
         }
-        let guard = Arc::new(guard);
+        let opts = ExecOptions { guard: Some(Arc::new(guard)), ..opts };
         let io_before = self.metrics.io.snapshot();
         let result = {
             // The tap is installed on this session thread; the
             // parallel executor mirrors it onto every worker
             // (IoTap::current), so attribution survives the hop.
             let _tap = IoTap::install(Arc::clone(&self.metrics.io));
-            match spill {
-                Some(policy) => sjos_exec::execute_guarded_spill(
-                    inner.db.store(),
-                    &pattern,
-                    &cached.plan,
-                    &guard,
-                    policy,
-                )
-                .map(|r| (r, 1)),
-                None if parallel => sjos_exec::execute_parallel_guarded(
-                    inner.db.store(),
-                    &pattern,
-                    &cached.plan,
-                    &guard,
-                    sjos_exec::ParallelPolicy::with_threads(workers),
-                )
-                .map(|p| {
-                    let morsels = p.morsel_count();
-                    (p.result, morsels)
-                }),
-                None => {
-                    sjos_exec::execute_guarded(inner.db.store(), &pattern, &cached.plan, &guard)
-                        .map(|r| (r, 1))
-                }
-            }
+            sjos_exec::execute(inner.db.store(), &pattern, &cached.plan, &opts)
         };
         drop(permit);
         let io = self.metrics.io.snapshot().since(&io_before);
 
         match result {
-            Ok((result, morsels)) => {
+            Ok(outcome) => {
+                let morsels = outcome.morsel_count();
+                let result = outcome.result;
                 inner.metrics.completed.fetch_add(1, Ordering::Relaxed);
                 inner.metrics.record_latency(started.elapsed());
                 inner.metrics.record_peaks(result.metrics.peak_bytes, certified);
@@ -496,7 +479,7 @@ impl Session {
                     result,
                     plan: cached,
                     cache_hit,
-                    degraded: spill.is_some(),
+                    degraded: opts.spill.is_some(),
                     waited,
                     io,
                     morsels,
@@ -532,8 +515,8 @@ fn max_sort_width(plan: &PlanNode) -> Option<usize> {
     go(plan).1
 }
 
-/// Find a spill policy under which `plan`'s resident certificate fits
-/// `budget`, if one exists: start from the largest threshold whose
+/// Find spill-mode options under which `plan`'s resident certificate
+/// fits `budget`, if any exist: start from the largest threshold whose
 /// sort-local resident bound fits (keeping as much of the sort in
 /// memory as possible), and while the whole-plan certificate still
 /// overshoots — the other operators' buffers, or a sort whose full
@@ -546,15 +529,21 @@ fn degraded_certificate(
     pattern: &Pattern,
     plan: &PlanNode,
     budget: u64,
-) -> Option<(SpillPolicy, sjos_planck::ResourceBounds)> {
+) -> Option<(ExecOptions, sjos_planck::ResourceBounds)> {
     let width = max_sort_width(plan)?;
     let budget_usize = usize::try_from(budget).unwrap_or(usize::MAX);
+    let guard = Arc::new(QueryGuard::unlimited().with_memory_budget(budget_usize));
     let mut threshold = SpillPolicy::for_budget(budget_usize, width, BATCH_ROWS)?.threshold_bytes;
     for _ in 0..4 {
         let policy = SpillPolicy::with_threshold(threshold);
-        let bounds = db.resource_bounds_spill(pattern, plan, policy);
-        if sjos_planck::admit_spill(&bounds, Some(budget), None).is_clean() {
-            return Some((policy, bounds));
+        let opts = ExecOptions {
+            guard: Some(Arc::clone(&guard)),
+            spill: Some(policy),
+            ..ExecOptions::default()
+        };
+        let (bounds, report) = db.admit(pattern, plan, &opts);
+        if report.is_clean() {
+            return Some((opts, bounds));
         }
         if threshold == 0 {
             return None;
@@ -599,7 +588,9 @@ mod tests {
         let base = db.optimize(&pattern, algorithm).unwrap();
         let plan = sjos_exec::PlanNode::Sort { input: Box::new(base.plan.clone()), by: PnId(0) };
         let full = db.resource_bounds(&pattern, &plan);
-        let floor = db.resource_bounds_spill(&pattern, &plan, SpillPolicy::with_threshold(0));
+        let spill_floor =
+            ExecOptions { spill: Some(SpillPolicy::with_threshold(0)), ..ExecOptions::default() };
+        let (floor, _) = db.admit(&pattern, &plan, &spill_floor);
         assert!(
             floor.peak_bytes < full.peak_bytes,
             "corpus too small: spilling must shrink the certificate \
@@ -638,7 +629,7 @@ mod tests {
         assert!(out.result.metrics.spilled_runs > 0, "the sort must actually spill");
         assert_eq!(
             out.result.canonical_rows(),
-            db.execute(&pattern, &plan).unwrap().canonical_rows(),
+            db.execute(&pattern, &plan, &ExecOptions::default()).unwrap().canonical_rows(),
             "degraded execution must answer bit-identically"
         );
         assert_eq!(db.store().spill().live_pages(), 0, "no leaked temp pages");
@@ -681,6 +672,23 @@ mod tests {
         );
         // The worker-side I/O still lands in this session's tap.
         assert!(p.io.record_reads > 0, "worker record reads must attribute to the session");
+    }
+
+    #[test]
+    fn uncontended_queries_report_no_admission_wait() {
+        let db = Arc::new(
+            Database::from_xml(
+                "<dept><emp><name>ada</name></emp><emp><name>bob</name></emp></dept>",
+            )
+            .unwrap(),
+        );
+        for parallelism in [1, 2] {
+            let config = ServiceConfig { parallelism, ..ServiceConfig::default() };
+            let service = QueryService::new(Arc::clone(&db), config);
+            let out = service.session().query("//dept/emp/name").unwrap();
+            assert_eq!(out.waited, Duration::ZERO, "parallelism {parallelism}");
+            assert_eq!(service.admission_snapshot().queued, 0);
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@ use sjos::core::random_plan;
 use sjos::datagen::{
     dblp::dblp, fold_document, mbench::mbench, paper_queries, pers::pers, GenConfig,
 };
-use sjos::{Algorithm, Database, PlanNode};
-use sjos_exec::{execute_parallel, execute_with_batch_rows, naive, JoinAlgo, BATCH_ROWS};
+use sjos::{Algorithm, Database, ExecOptions, PlanNode};
+use sjos_exec::{naive, JoinAlgo, BATCH_ROWS};
 
 /// Granularities under test: the tuple-at-a-time degenerate case, an
 /// awkward size that never divides the row counts, and production.
@@ -46,7 +46,9 @@ fn check(db: &Database, query: &str, seed: u64) {
     for (name, plan) in &plans {
         let mut stack_traffic = Vec::new();
         for &rows in &BATCH_SIZES {
-            let result = execute_with_batch_rows(db.store(), &pattern, plan, rows)
+            let opts = ExecOptions { batch_rows: rows, ..ExecOptions::default() };
+            let result = db
+                .execute(&pattern, plan, &opts)
                 .unwrap_or_else(|e| panic!("{query} via {name}: {e}"));
             assert_eq!(
                 result.canonical_rows(),
@@ -127,12 +129,13 @@ fn results_compare_equal_however_batches_break() {
         for alg in [Algorithm::Dpp { lookahead: true }, Algorithm::Fp] {
             let plan = db.optimize(&pattern, alg).expect("optimizes").plan;
             saw_anc |= uses_anc(&plan);
-            let base = execute_with_batch_rows(db.store(), &pattern, &plan, BATCH_ROWS).unwrap();
+            let base = db.execute(&pattern, &plan, &ExecOptions::default()).unwrap();
             assert!(base.tuples.len() > 7, "{id}: fixture must span several 7-row batches");
             let canonical = base.canonical_rows();
             let mut batch_counts = Vec::new();
             for rows in [1, 7, BATCH_ROWS] {
-                let r = execute_with_batch_rows(db.store(), &pattern, &plan, rows).unwrap();
+                let opts = ExecOptions { batch_rows: rows, ..ExecOptions::default() };
+                let r = db.execute(&pattern, &plan, &opts).unwrap();
                 batch_counts.push(r.tuples.batches().len());
                 assert_eq!(r.tuples, base.tuples, "{id} via {} at batch_rows={rows}", alg.name());
                 assert_eq!(r.canonical_rows(), canonical, "{id} at batch_rows={rows}");
@@ -143,7 +146,8 @@ fn results_compare_equal_however_batches_break() {
                 batch_counts[0] > batch_counts[2],
                 "{id}: the batch lists must break differently: {batch_counts:?}"
             );
-            let par = execute_parallel(db.store(), &pattern, &plan, 2).unwrap();
+            let two = ExecOptions { threads: 2, ..ExecOptions::default() };
+            let par = sjos::execute(db.store(), &pattern, &plan, &two).unwrap();
             assert!(par.morsel_count() > 1, "{id}: folded corpus must split");
             assert_eq!(par.result.tuples, base.tuples, "{id} via {}: 2 workers", alg.name());
             assert_eq!(par.result.canonical_rows(), canonical, "{id}: 2 workers");

@@ -12,12 +12,26 @@ use rand::SeedableRng;
 
 use sjos::core::random_plan;
 use sjos::datagen::{dblp::dblp, mbench::mbench, paper_queries, pers::pers, DataSet, GenConfig};
-use sjos::{Algorithm, Database, Pattern, PlanNode, BATCH_ROWS};
+use std::sync::Arc;
+
+use sjos::{Algorithm, Database, ExecOptions, Pattern, PlanNode, QueryGuard, BATCH_ROWS};
 use sjos_planck::{admit, lint_bound_soundness, lint_bounds, Rule, DEFAULT_MEMORY_BUDGET};
 
 /// Granularities under test: degenerate tuple-at-a-time, an awkward
 /// size that never divides the row counts, and production.
 const BATCH_SIZES: [usize; 3] = [1, 3, BATCH_ROWS];
+
+/// Default options under a guard with the given budgets.
+fn budgets(memory: Option<u64>, pulls: Option<u64>) -> ExecOptions {
+    let mut guard = QueryGuard::unlimited();
+    if let Some(bytes) = memory {
+        guard = guard.with_memory_budget(usize::try_from(bytes).unwrap());
+    }
+    if let Some(pulls) = pulls {
+        guard = guard.with_batch_budget(pulls);
+    }
+    ExecOptions { guard: Some(Arc::new(guard)), ..ExecOptions::default() }
+}
 
 fn corpus(dataset: DataSet) -> Database {
     let config = GenConfig::sized(1_200);
@@ -37,7 +51,8 @@ fn check_plan(db: &Database, pattern: &Pattern, plan: &PlanNode, label: &str) {
     for &rows in &BATCH_SIZES {
         let (bounds, report) = lint_bounds(pattern, &estimates, &model, plan, rows);
         assert!(report.is_clean(), "{label} at batch_rows={rows}: {report}");
-        let replay = lint_bound_soundness(db.store(), pattern, &bounds, plan)
+        let opts = ExecOptions { batch_rows: rows, ..ExecOptions::default() };
+        let replay = lint_bound_soundness(db.store(), pattern, &bounds, plan, &opts)
             .unwrap_or_else(|e| panic!("{label} at batch_rows={rows}: {e}"));
         assert!(replay.is_clean(), "{label} at batch_rows={rows}: {replay}");
     }
@@ -56,7 +71,7 @@ fn paper_plans_are_bounded_and_admissible() {
                 // Every Table 1 plan must pass admission at the
                 // default production budget.
                 let bounds = db.resource_bounds(&pattern, &plan);
-                let verdict = admit(&bounds, Some(DEFAULT_MEMORY_BUDGET), None);
+                let verdict = admit(&bounds, &budgets(Some(DEFAULT_MEMORY_BUDGET), None));
                 assert!(
                     verdict.is_clean(),
                     "{} ({}) rejected at the default budget: {verdict}",
@@ -76,13 +91,13 @@ fn admission_gates_exactly_at_the_bound() {
     let bounds = db.resource_bounds(&pattern, &plan);
     assert!(bounds.peak_bytes > 0 && bounds.batch_pulls > 0);
 
-    let starved = admit(&bounds, Some(bounds.peak_bytes - 1), None);
+    let starved = admit(&bounds, &budgets(Some(bounds.peak_bytes - 1), None));
     assert!(starved.violates(Rule::MemoryAdmissible), "{starved}");
-    let throttled = admit(&bounds, None, Some(bounds.batch_pulls - 1));
+    let throttled = admit(&bounds, &budgets(None, Some(bounds.batch_pulls - 1)));
     assert!(throttled.violates(Rule::BatchAdmissible), "{throttled}");
-    let exact = admit(&bounds, Some(bounds.peak_bytes), Some(bounds.batch_pulls));
+    let exact = admit(&bounds, &budgets(Some(bounds.peak_bytes), Some(bounds.batch_pulls)));
     assert!(exact.is_clean(), "{exact}");
-    let unlimited = admit(&bounds, None, None);
+    let unlimited = admit(&bounds, &ExecOptions::default());
     assert!(unlimited.is_clean(), "{unlimited}");
 }
 

@@ -9,7 +9,7 @@
 
 use sjos::datagen::{paper_queries, pers::pers, DataSet, GenConfig};
 use sjos::storage::{FaultPlan, RetryPolicy, StoreConfig, XmlStore};
-use sjos::{Algorithm, Database, EngineError};
+use sjos::{Algorithm, Database, EngineError, ExecOptions};
 
 /// Seeds swept per fault preset; two presets per seed gives the suite
 /// its ≥200 distinct seeded fault plans.
@@ -28,8 +28,10 @@ fn table1_queries_survive_two_hundred_seeded_fault_plans() {
             let pattern = q.pattern();
             let optimized =
                 db.optimize(&pattern, Algorithm::Dpp { lookahead: true }).expect("optimizes");
-            let baseline =
-                db.execute(&pattern, &optimized.plan).expect("clean run").canonical_rows();
+            let baseline = db
+                .execute(&pattern, &optimized.plan, &ExecOptions::default())
+                .expect("clean run")
+                .canonical_rows();
             (q.id, pattern, optimized.plan, baseline)
         })
         .collect();
@@ -54,7 +56,9 @@ fn table1_queries_survive_two_hundred_seeded_fault_plans() {
             fault.set_plan(plan);
             plans_run += 1;
             for (id, pattern, plan_node, baseline) in &cases {
-                match sjos::execute(&store, pattern, plan_node) {
+                match sjos::execute(&store, pattern, plan_node, &ExecOptions::default())
+                    .map(|o| o.result)
+                {
                     Ok(res) => {
                         assert_eq!(
                             &res.canonical_rows(),
@@ -94,8 +98,10 @@ fn eight_concurrent_sessions_survive_seeded_faults_on_one_shared_store() {
             let pattern = q.pattern();
             let optimized =
                 db.optimize(&pattern, Algorithm::Dpp { lookahead: true }).expect("optimizes");
-            let baseline =
-                db.execute(&pattern, &optimized.plan).expect("clean run").canonical_rows();
+            let baseline = db
+                .execute(&pattern, &optimized.plan, &ExecOptions::default())
+                .expect("clean run")
+                .canonical_rows();
             (q.id, pattern, optimized.plan, baseline)
         })
         .collect();
@@ -134,7 +140,14 @@ fn eight_concurrent_sessions_survive_seeded_faults_on_one_shared_store() {
                         let mut fail = 0u64;
                         for _ in 0..PASSES {
                             for (id, pattern, plan_node, baseline) in cases {
-                                match sjos::execute(store, pattern, plan_node) {
+                                match sjos::execute(
+                                    store,
+                                    pattern,
+                                    plan_node,
+                                    &ExecOptions::default(),
+                                )
+                                .map(|o| o.result)
+                                {
                                     Ok(res) => {
                                         assert_eq!(
                                             &res.canonical_rows(),
@@ -183,7 +196,6 @@ fn spilling_queries_survive_seeded_write_faults() {
 
     use sjos::pattern::PnId;
     use sjos::{PlanNode, QueryGuard, SpillPolicy};
-    use sjos_exec::execute_spill_with_batch_rows;
 
     let doc = pers(GenConfig::sized(1_500));
     let db = Database::from_document(doc.clone());
@@ -197,7 +209,10 @@ fn spilling_queries_survive_seeded_write_faults() {
             // Plant a sort so the spill machinery engages; threshold 0
             // below maximizes temp-page traffic.
             let plan = PlanNode::Sort { input: Box::new(optimized.plan), by: PnId(0) };
-            let baseline = db.execute(&pattern, &plan).expect("clean run").canonical_rows();
+            let baseline = db
+                .execute(&pattern, &plan, &ExecOptions::default())
+                .expect("clean run")
+                .canonical_rows();
             (q.id, pattern, plan, baseline)
         })
         .collect();
@@ -208,8 +223,12 @@ fn spilling_queries_survive_seeded_write_faults() {
         FaultPlan::none(),
     );
     let fault = store.fault().expect("faulty store exposes its fault handle").clone();
-    let guard = Arc::new(QueryGuard::unlimited());
-    let policy = SpillPolicy::with_threshold(0);
+    let opts = ExecOptions {
+        guard: Some(Arc::new(QueryGuard::unlimited())),
+        batch_rows: 64,
+        spill: Some(SpillPolicy::with_threshold(0)),
+        ..ExecOptions::default()
+    };
 
     let mut recovered = 0u32;
     let mut failed = 0u32;
@@ -235,8 +254,7 @@ fn spilling_queries_survive_seeded_write_faults() {
             store.pool().reset_cache().expect("cache reset on a quiet disk");
             fault.set_plan(plan);
             for (id, pattern, plan_node, baseline) in &cases {
-                match execute_spill_with_batch_rows(&store, pattern, plan_node, 64, &guard, policy)
-                {
+                match sjos::execute(&store, pattern, plan_node, &opts).map(|o| o.result) {
                     Ok(res) => {
                         assert_eq!(
                             &res.canonical_rows(),
@@ -275,7 +293,6 @@ fn spilling_queries_survive_seeded_write_faults() {
 #[test]
 fn parallel_queries_survive_seeded_fault_plans() {
     use sjos::datagen::fold_document;
-    use sjos_exec::execute_parallel;
 
     let doc = fold_document(&pers(GenConfig::sized(600)), 5);
     let db = Database::from_document(doc.clone());
@@ -286,7 +303,8 @@ fn parallel_queries_survive_seeded_fault_plans() {
             let pattern = q.pattern();
             let optimized =
                 db.optimize(&pattern, Algorithm::Dpp { lookahead: true }).expect("optimizes");
-            let baseline = db.execute(&pattern, &optimized.plan).expect("clean run");
+            let baseline =
+                db.execute(&pattern, &optimized.plan, &ExecOptions::default()).expect("clean run");
             (q.id, pattern, optimized.plan, baseline)
         })
         .collect();
@@ -307,7 +325,8 @@ fn parallel_queries_survive_seeded_fault_plans() {
             store.pool().reset_cache().expect("cache reset on a quiet disk");
             fault.set_plan(plan);
             for (id, pattern, plan_node, baseline) in &cases {
-                match execute_parallel(&store, pattern, plan_node, 4) {
+                let four = ExecOptions { threads: 4, ..ExecOptions::default() };
+                match sjos::execute(&store, pattern, plan_node, &four) {
                     Ok(out) => {
                         assert_eq!(
                             out.result.tuples, baseline.tuples,
@@ -356,7 +375,8 @@ fn sticky_corruption_names_the_page_in_the_error() {
         Algorithm::Dpp { lookahead: true },
     )
     .unwrap();
-    let err = sjos::execute(&store, &pattern, &optimized.plan).unwrap_err();
+    let err =
+        sjos::execute(&store, &pattern, &optimized.plan, &ExecOptions::default()).unwrap_err();
     let rendered = err.to_string();
     assert!(
         matches!(err, EngineError::Storage(_)),

@@ -3,7 +3,7 @@
 //! the naive navigational evaluator finds.
 
 use sjos::datagen::{dblp::dblp, mbench::mbench, pers::pers, GenConfig};
-use sjos::{Algorithm, Database};
+use sjos::{Algorithm, Database, ExecOptions};
 use sjos_exec::naive;
 
 fn algorithms() -> Vec<Algorithm> {
@@ -102,7 +102,7 @@ fn order_by_plans_deliver_sorted_output() {
         pattern.set_order_by(sjos::pattern::PnId(target));
         for alg in [Algorithm::Dpp { lookahead: true }, Algorithm::Fp] {
             let optimized = db.optimize(&pattern, alg).unwrap();
-            let result = db.execute(&pattern, &optimized.plan).unwrap();
+            let result = db.execute(&pattern, &optimized.plan, &ExecOptions::default()).unwrap();
             let col =
                 result.schema.position(sjos::pattern::PnId(target)).expect("order-by column bound");
             let starts: Vec<u32> = result.tuples.iter().map(|t| t[col].region.start).collect();

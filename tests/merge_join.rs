@@ -5,7 +5,7 @@
 use sjos::datagen::{pers::pers, GenConfig};
 use sjos::exec::{JoinAlgo, PlanNode};
 use sjos::pattern::PnId;
-use sjos::{Algorithm, Database};
+use sjos::{Algorithm, Database, ExecOptions};
 use sjos_exec::naive;
 
 fn count_algo(plan: &PlanNode, algo: JoinAlgo) -> usize {
@@ -32,7 +32,7 @@ fn merge_join_plans_execute_correctly() {
         axis: sjos::pattern::Axis::Descendant,
         algo: JoinAlgo::MergeJoin,
     };
-    let res = db.execute(&pattern, &plan).unwrap();
+    let res = db.execute(&pattern, &plan, &ExecOptions::default()).unwrap();
     assert_eq!(res.canonical_rows(), expected);
     assert!(res.metrics.merge_rescans > 0, "merge join must count rescans");
     assert_eq!(res.metrics.stack_pushes, 0, "no stacks involved");
@@ -51,7 +51,7 @@ fn merge_join_output_is_ancestor_ordered() {
         algo: JoinAlgo::MergeJoin,
     };
     assert_eq!(plan.ordered_by(), PnId(0));
-    let res = db.execute(&pattern, &plan).unwrap();
+    let res = db.execute(&pattern, &plan, &ExecOptions::default()).unwrap();
     let col = res.schema.position(PnId(0)).unwrap();
     let starts: Vec<u32> = res.tuples.iter().map(|t| t[col].region.start).collect();
     assert!(starts.windows(2).all(|w| w[0] <= w[1]));
@@ -85,8 +85,8 @@ fn merge_join_in_larger_plans_agrees_with_stack_tree() {
     }
     let optimized = db.optimize(&pattern, Algorithm::Dpp { lookahead: true }).unwrap();
     let rewritten = rewrite(&optimized.plan);
-    let a = db.execute(&pattern, &optimized.plan).unwrap();
-    let b = db.execute(&pattern, &rewritten).unwrap();
+    let a = db.execute(&pattern, &optimized.plan, &ExecOptions::default()).unwrap();
+    let b = db.execute(&pattern, &rewritten, &ExecOptions::default()).unwrap();
     assert_eq!(a.canonical_rows(), expected);
     assert_eq!(b.canonical_rows(), expected);
 }
@@ -112,7 +112,7 @@ fn optimizer_picks_merge_join_when_model_prefers_it() {
     );
     // And the plan still runs correctly.
     let expected = naive::evaluate(db.document(), &pattern);
-    let res = db.execute(&pattern, &optimized.plan).unwrap();
+    let res = db.execute(&pattern, &optimized.plan, &ExecOptions::default()).unwrap();
     assert_eq!(res.canonical_rows(), expected);
 }
 

@@ -4,7 +4,7 @@
 //! emerges.
 
 use sjos::datagen::{paper_queries, pers::pers, DataSet, GenConfig};
-use sjos::{Algorithm, Database};
+use sjos::{Algorithm, Database, ExecOptions};
 
 fn pers_db() -> Database {
     Database::from_document(pers(GenConfig::sized(5_000)))
@@ -119,8 +119,8 @@ fn optimal_plan_executes_faster_than_bad_plan_at_scale() {
     let pattern = paper_queries().into_iter().find(|q| q.id == "Q.Pers.3.d").unwrap().pattern();
     let opt = db.optimize(&pattern, Algorithm::Dpp { lookahead: true }).unwrap();
     let bad = db.optimize(&pattern, Algorithm::WorstRandom { samples: 64, seed: 7 }).unwrap();
-    let opt_res = db.execute(&pattern, &opt.plan).unwrap();
-    let bad_res = db.execute(&pattern, &bad.plan).unwrap();
+    let opt_res = db.execute(&pattern, &opt.plan, &ExecOptions::default()).unwrap();
+    let bad_res = db.execute(&pattern, &bad.plan, &ExecOptions::default()).unwrap();
     assert_eq!(opt_res.canonical_rows(), bad_res.canonical_rows());
     // Compare work, not wall clock (robust in CI): the bad plan must
     // shuffle at least as many tuples through its operators.

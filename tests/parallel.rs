@@ -18,11 +18,8 @@ use proptest::prelude::*;
 use sjos::datagen::{
     dblp::dblp, fold_document, mbench::mbench, paper_queries, pers::pers, DataSet, GenConfig,
 };
-use sjos::{Algorithm, Database, EngineError, GuardBreach, QueryGuard, BATCH_ROWS};
-use sjos_exec::{
-    execute_parallel, execute_parallel_opts, partition_regions, scatter, stitch,
-    straddles_every_cut, ParallelPolicy,
-};
+use sjos::{Algorithm, Database, EngineError, ExecOptions, GuardBreach, QueryGuard, BATCH_ROWS};
+use sjos_exec::{partition_regions, scatter, stitch, straddles_every_cut};
 use sjos_storage::{Extent, IoStats, IoTap};
 use sjos_xml::Region;
 
@@ -32,6 +29,11 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Granularities under test: the tuple-at-a-time degenerate case, an
 /// awkward size that never divides the row counts, and production.
 const BATCH_SIZES: [usize; 3] = [1, 3, BATCH_ROWS];
+
+/// Default options across `threads` workers.
+fn on_threads(threads: usize) -> ExecOptions {
+    ExecOptions { threads, ..ExecOptions::default() }
+}
 
 /// The eight counters PL068 demands sum exactly across morsels.
 fn exact_counters(m: &sjos_exec::MetricsSnapshot) -> [u64; 8] {
@@ -74,21 +76,15 @@ fn parallel_matches_serial_across_threads_and_granularities() {
             let pattern = q.pattern();
             let plan =
                 db.optimize(&pattern, Algorithm::Dpp { lookahead: true }).expect("optimizes").plan;
-            let serial = db.execute(&pattern, &plan).unwrap_or_else(|e| panic!("{}: {e}", q.id));
+            let serial = db
+                .execute(&pattern, &plan, &ExecOptions::default())
+                .unwrap_or_else(|e| panic!("{}: {e}", q.id));
             let serial_counters = exact_counters(&serial.metrics);
             for threads in THREAD_COUNTS {
                 for batch_rows in BATCH_SIZES {
-                    let guard = Arc::new(QueryGuard::unlimited());
-                    let out = execute_parallel_opts(
-                        db.store(),
-                        &pattern,
-                        &plan,
-                        true,
-                        batch_rows,
-                        &guard,
-                        ParallelPolicy::with_threads(threads),
-                    )
-                    .unwrap_or_else(|e| panic!("{} @ {threads}t/{batch_rows}b: {e}", q.id));
+                    let opts = ExecOptions { batch_rows, threads, ..ExecOptions::default() };
+                    let out = sjos::execute(db.store(), &pattern, &plan, &opts)
+                        .unwrap_or_else(|e| panic!("{} @ {threads}t/{batch_rows}b: {e}", q.id));
                     split_somewhere |= out.morsel_count() > 1;
                     assert_eq!(
                         out.result.tuples, serial.tuples,
@@ -153,7 +149,7 @@ fn worker_thread_io_lands_in_the_session_tap() {
     let before = stats.snapshot();
     let outcome = {
         let _tap = IoTap::install(Arc::clone(&stats));
-        execute_parallel(db.store(), &pattern, &plan, 4).expect("parallel run")
+        sjos::execute(db.store(), &pattern, &plan, &on_threads(4)).expect("parallel run")
     };
     let after = stats.snapshot();
     assert!(outcome.morsel_count() > 1, "query must actually split for this test to bite");
@@ -178,16 +174,9 @@ fn expired_deadline_surfaces_as_guard_breach() {
     let pattern = q.pattern();
     let plan = db.optimize(&pattern, Algorithm::Dpp { lookahead: true }).expect("optimizes").plan;
     let guard = Arc::new(QueryGuard::unlimited().with_deadline(std::time::Duration::ZERO));
-    let err = execute_parallel_opts(
-        db.store(),
-        &pattern,
-        &plan,
-        true,
-        BATCH_ROWS,
-        &guard,
-        ParallelPolicy::with_threads(4),
-    )
-    .expect_err("an expired deadline must stop the query");
+    let opts = ExecOptions { guard: Some(guard), ..on_threads(4) };
+    let err = sjos::execute(db.store(), &pattern, &plan, &opts)
+        .expect_err("an expired deadline must stop the query");
     match err {
         EngineError::Guard { breach: GuardBreach::Deadline { .. }, .. } => {}
         other => panic!("expected a deadline breach, got {other}"),
@@ -309,21 +298,21 @@ fn tap_delta_partitions_the_global_delta_at_every_thread_count() {
     let pattern = q.pattern();
     let plan = db.optimize(&pattern, Algorithm::Dpp { lookahead: true }).expect("optimizes").plan;
 
-    for threads in [2usize, 8] {
+    for n in [2usize, 8] {
         let stats = Arc::new(IoStats::default());
         let global_before = db.store().stats().snapshot();
         let tap_before = stats.snapshot();
         {
             let _tap = IoTap::install(Arc::clone(&stats));
-            execute_parallel(db.store(), &pattern, &plan, threads).expect("parallel run");
+            sjos::execute(db.store(), &pattern, &plan, &on_threads(n)).expect("parallel run");
         }
         let global = db.store().stats().snapshot().since(&global_before);
         let tapped = stats.snapshot().since(&tap_before);
-        assert!(tapped.record_reads > 0, "{threads} threads: no attributed reads");
+        assert!(tapped.record_reads > 0, "{n} threads: no attributed reads");
         assert_eq!(
             (tapped.record_reads, tapped.buffer_hits, tapped.disk_reads),
             (global.record_reads, global.buffer_hits, global.disk_reads),
-            "{threads} threads: a worker's I/O escaped the session tap"
+            "{n} threads: a worker's I/O escaped the session tap"
         );
     }
 }
@@ -346,16 +335,8 @@ fn dying_worker_io_still_lands_in_the_session_tap() {
     let global_before = db.store().stats().snapshot();
     let err = {
         let _tap = IoTap::install(Arc::clone(&stats));
-        execute_parallel_opts(
-            db.store(),
-            &pattern,
-            &plan,
-            true,
-            BATCH_ROWS,
-            &guard,
-            ParallelPolicy::with_threads(4),
-        )
-        .expect_err("a 512 B budget must breach")
+        let opts = ExecOptions { guard: Some(guard), ..on_threads(4) };
+        sjos::execute(db.store(), &pattern, &plan, &opts).expect_err("a 512 B budget must breach")
     };
     match err {
         EngineError::Guard { breach: GuardBreach::MemoryBudget { .. }, .. } => {}

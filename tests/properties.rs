@@ -8,10 +8,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sjos::core::random_plan;
-use sjos::{Algorithm, Database, PlanNode};
-use sjos_exec::{
-    execute_with_batch_rows, naive, JoinAlgo, MetricsSnapshot, QueryResult, BATCH_ROWS,
-};
+use sjos::{Algorithm, Database, ExecOptions, PlanNode};
+use sjos_exec::{naive, JoinAlgo, MetricsSnapshot, QueryResult, BATCH_ROWS};
 use sjos_pattern::{Axis, Pattern, PnId};
 use sjos_xml::{Document, DocumentBuilder};
 
@@ -97,7 +95,10 @@ fn build_pattern(root: &PatNode) -> Pattern {
 fn run_at_every_batch_size(db: &Database, pattern: &Pattern, plan: &PlanNode) -> Vec<QueryResult> {
     [1, 3, BATCH_ROWS]
         .into_iter()
-        .map(|rows| execute_with_batch_rows(db.store(), pattern, plan, rows).unwrap())
+        .map(|batch_rows| {
+            db.execute(pattern, plan, &ExecOptions { batch_rows, ..ExecOptions::default() })
+                .unwrap()
+        })
         .collect()
 }
 
@@ -198,7 +199,7 @@ proptest! {
             Algorithm::WorstRandom { samples: 3, seed: 5 },
         ] {
             let optimized = db.optimize(&pattern, alg).unwrap();
-            let result = db.execute(&pattern, &optimized.plan).unwrap();
+            let result = db.execute(&pattern, &optimized.plan, &ExecOptions::default()).unwrap();
             prop_assert_eq!(result.canonical_rows(), expected.clone(), "{}", alg.name());
         }
     }

@@ -11,8 +11,8 @@ use rand::SeedableRng;
 
 use sjos::core::random_plan;
 use sjos::datagen::{dblp::dblp, mbench::mbench, paper_queries, pers::pers, DataSet, GenConfig};
-use sjos::exec::{execute_with_batch_rows, MetricsSnapshot};
-use sjos::{Algorithm, Database, PlanNode, BATCH_ROWS};
+use sjos::exec::MetricsSnapshot;
+use sjos::{Algorithm, Database, ExecOptions, PlanNode, BATCH_ROWS};
 
 /// `(query id, plan, batch rows, rows, FNV-1a digest of the rows' node
 /// ids in emission order, metrics)`.
@@ -174,7 +174,9 @@ fn table1_counters_match_the_recorded_run() {
             ];
             for (name, plan) in &plans {
                 for batch in [7, BATCH_ROWS] {
-                    let result = execute_with_batch_rows(db.store(), &pattern, plan, batch)
+                    let opts = ExecOptions { batch_rows: batch, ..ExecOptions::default() };
+                    let result = db
+                        .execute(&pattern, plan, &opts)
                         .unwrap_or_else(|e| panic!("{} via {name}: {e}", q.id));
                     let rows = result.tuples.len();
                     actual.push((q.id, *name, batch, rows, digest(&result), result.metrics));

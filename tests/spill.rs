@@ -16,12 +16,12 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use sjos::datagen::{paper_queries, pers::pers, DataSet, GenConfig};
-use sjos::{Algorithm, Database, EngineError, GuardBreach, PlanNode, QueryGuard, SpillPolicy};
-use sjos_exec::{
-    execute_guarded_spill, execute_spill_with_batch_rows, execute_with_batch_rows, naive,
-    CancelToken, JoinAlgo, BATCH_ROWS,
+use sjos::datagen::{fold_document, paper_queries, pers::pers, DataSet, GenConfig};
+use sjos::{
+    Algorithm, Database, EngineError, ExecOptions, GuardBreach, PlanNode, QueryGuard, QueryResult,
+    SpillPolicy,
 };
+use sjos_exec::{naive, CancelToken, JoinAlgo, BATCH_ROWS};
 use sjos_pattern::{Axis, Pattern, PnId};
 use sjos_xml::{Document, DocumentBuilder};
 
@@ -33,6 +33,21 @@ const BATCH_SIZES: [usize; 3] = [1, 3, BATCH_ROWS];
 /// threshold so large nothing ever spills (the policy must then be
 /// invisible even in the metrics).
 const THRESHOLDS: [usize; 3] = [0, 4 * 1024, usize::MAX / 2];
+
+/// Run `plan` under `opts`, keeping the engine's typed error.
+fn run(
+    db: &Database,
+    pattern: &Pattern,
+    plan: &PlanNode,
+    opts: &ExecOptions,
+) -> Result<QueryResult, EngineError> {
+    sjos::execute(db.store(), pattern, plan, opts).map(|o| o.result)
+}
+
+/// `policy` spill mode under `guard`, at the default batch size.
+fn spilling(guard: Arc<QueryGuard>, policy: SpillPolicy) -> ExecOptions {
+    ExecOptions { guard: Some(guard), spill: Some(policy), ..ExecOptions::default() }
+}
 
 /// After every execution — however it ended — the spill segment must
 /// hold zero live temp pages and the pool zero pinned frames.
@@ -107,20 +122,19 @@ fn spilled_sorts_match_in_memory_bit_for_bit() {
     for (id, pattern, expected) in &expected_naive {
         let plan = sort_wrapped(&db, pattern);
         for &rows in &BATCH_SIZES {
-            let base = execute_with_batch_rows(db.store(), pattern, &plan, rows)
-                .unwrap_or_else(|e| panic!("{id} in-memory at batch_rows={rows}: {e}"));
+            let base = run(
+                &db,
+                pattern,
+                &plan,
+                &ExecOptions { batch_rows: rows, ..ExecOptions::default() },
+            )
+            .unwrap_or_else(|e| panic!("{id} in-memory at batch_rows={rows}: {e}"));
             assert_eq!(&base.canonical_rows(), expected, "{id} diverged from naive");
             for &threshold in &THRESHOLDS {
                 let policy = SpillPolicy::with_threshold(threshold);
-                let spilled = execute_spill_with_batch_rows(
-                    db.store(),
-                    pattern,
-                    &plan,
-                    rows,
-                    &unlimited,
-                    policy,
-                )
-                .unwrap_or_else(|e| {
+                let opts =
+                    ExecOptions { batch_rows: rows, ..spilling(Arc::clone(&unlimited), policy) };
+                let spilled = run(&db, pattern, &plan, &opts).unwrap_or_else(|e| {
                     panic!("{id} spill at batch_rows={rows} threshold={threshold}: {e}")
                 });
                 assert_eq!(
@@ -146,6 +160,36 @@ fn spilled_sorts_match_in_memory_bit_for_bit() {
     }
 }
 
+/// Spilling runs as one morsel whatever `threads` says. On a folded
+/// corpus whose in-memory runs split into morsels, a 2-thread spill
+/// run is one morsel and matches the serial spill run row for row and
+/// counter for counter at every batch size.
+#[test]
+fn spill_with_two_threads_runs_as_one_morsel() {
+    let db = Database::from_document(fold_document(&pers(GenConfig::sized(600)), 5));
+    let policy = SpillPolicy::with_threshold(0);
+    let mut split_in_memory = false;
+    for q in paper_queries().into_iter().filter(|q| q.dataset == DataSet::Pers) {
+        let pattern = q.pattern();
+        let plan = sort_wrapped(&db, &pattern);
+        for batch_rows in [1, 7, BATCH_ROWS] {
+            let serial = ExecOptions { batch_rows, spill: Some(policy), ..ExecOptions::default() };
+            let two = ExecOptions { threads: 2, ..serial.clone() };
+            let a = sjos::execute(db.store(), &pattern, &plan, &serial).unwrap();
+            let b = sjos::execute(db.store(), &pattern, &plan, &two).unwrap();
+            let at = format!("{} at batch_rows={batch_rows}", q.id);
+            assert_eq!(b.morsel_count(), 1, "{at}: a spilling run must be one morsel");
+            assert_eq!(b.result.tuples, a.result.tuples, "{at}: rows diverged");
+            assert_eq!(b.result.metrics, a.result.metrics, "{at}: counters diverged");
+            assert_no_residue(&db, &at);
+        }
+        let in_memory = ExecOptions { threads: 2, ..ExecOptions::default() };
+        split_in_memory |=
+            sjos::execute(db.store(), &pattern, &plan, &in_memory).unwrap().morsel_count() > 1;
+    }
+    assert!(split_in_memory, "the corpus must split when sorts stay in memory");
+}
+
 /// Degradation — the acceptance criterion: a sort whose full
 /// materialization breaches a starved guard in plain mode completes
 /// bit-identically under the *same* memory budget once it may spill,
@@ -158,7 +202,11 @@ fn starved_guard_query_completes_bit_identically_via_spill() {
 
     // Budget exactly at the spill-mode certificate: far below the full
     // materialization, honest about the degraded residency.
-    let floor = db.resource_bounds_spill(&pattern, &plan, SpillPolicy::with_threshold(0));
+    let (floor, _) = db.admit(
+        &pattern,
+        &plan,
+        &spilling(Arc::new(QueryGuard::unlimited()), SpillPolicy::with_threshold(0)),
+    );
     let full = db.resource_bounds(&pattern, &plan);
     assert!(
         floor.peak_bytes < full.peak_bytes,
@@ -168,12 +216,14 @@ fn starved_guard_query_completes_bit_identically_via_spill() {
     );
     let budget = usize::try_from(floor.peak_bytes).unwrap();
 
-    let baseline = db.execute(&pattern, &plan).expect("unguarded run");
+    let baseline = db.execute(&pattern, &plan, &ExecOptions::default()).expect("unguarded run");
 
     // Plain mode under the starved budget: a typed memory breach, not
     // a panic, not a wrong answer.
     let starved = Arc::new(QueryGuard::unlimited().with_memory_budget(budget));
-    let err = sjos_exec::execute_guarded(db.store(), &pattern, &plan, &starved).unwrap_err();
+    let err =
+        run(&db, &pattern, &plan, &ExecOptions { guard: Some(starved), ..ExecOptions::default() })
+            .unwrap_err();
     assert!(
         matches!(err, EngineError::Guard { breach: GuardBreach::MemoryBudget { .. }, .. }),
         "starved in-memory run must breach the memory budget, got: {err}"
@@ -185,7 +235,7 @@ fn starved_guard_query_completes_bit_identically_via_spill() {
     let policy = SpillPolicy::for_budget(budget, 2, BATCH_ROWS)
         .expect("budget at the spill certificate admits a policy");
     let guard = Arc::new(QueryGuard::unlimited().with_memory_budget(budget));
-    let spilled = execute_guarded_spill(db.store(), &pattern, &plan, &guard, policy)
+    let spilled = run(&db, &pattern, &plan, &spilling(guard, policy))
         .expect("spill run under the starved budget");
     assert_eq!(spilled.tuples, baseline.tuples, "spill changed the answer");
     assert!(spilled.metrics.spilled_runs > 0, "starved run never spilled");
@@ -212,7 +262,7 @@ fn guard_stops_and_cancellation_leave_no_residue() {
     let token = CancelToken::new();
     token.cancel();
     let guard = Arc::new(QueryGuard::unlimited().with_cancel_token(token));
-    let err = execute_guarded_spill(db.store(), &pattern, &plan, &guard, policy).unwrap_err();
+    let err = run(&db, &pattern, &plan, &spilling(guard, policy)).unwrap_err();
     assert!(
         matches!(err, EngineError::Guard { breach: GuardBreach::Cancelled, .. }),
         "pre-cancelled run must stop on the token, got: {err}"
@@ -220,7 +270,7 @@ fn guard_stops_and_cancellation_leave_no_residue() {
     assert_no_residue(&db, "cancelled spill run");
 
     let guard = Arc::new(QueryGuard::unlimited().with_batch_budget(2));
-    let err = execute_guarded_spill(db.store(), &pattern, &plan, &guard, policy).unwrap_err();
+    let err = run(&db, &pattern, &plan, &spilling(guard, policy)).unwrap_err();
     assert!(
         matches!(err, EngineError::Guard { breach: GuardBreach::BatchBudget { .. }, .. }),
         "two pulls cannot finish this plan, got: {err}"
@@ -230,7 +280,7 @@ fn guard_stops_and_cancellation_leave_no_residue() {
     // A budget below even one output batch: the breach fires *after*
     // runs have gone to disk, the classic mid-spill abort.
     let guard = Arc::new(QueryGuard::unlimited().with_memory_budget(16));
-    let err = execute_guarded_spill(db.store(), &pattern, &plan, &guard, policy).unwrap_err();
+    let err = run(&db, &pattern, &plan, &spilling(guard, policy)).unwrap_err();
     assert!(
         matches!(err, EngineError::Guard { breach: GuardBreach::MemoryBudget { .. }, .. }),
         "a 16-byte budget must breach, got: {err}"
@@ -330,8 +380,7 @@ proptest! {
         let guard = Arc::new(QueryGuard::unlimited().with_memory_budget(budget));
         let policy = SpillPolicy::for_budget(budget, width, batch_rows)
             .unwrap_or_else(|| SpillPolicy::with_threshold(0));
-        match execute_spill_with_batch_rows(db.store(), &pattern, &plan, batch_rows, &guard, policy)
-        {
+        match run(&db, &pattern, &plan, &ExecOptions { batch_rows, ..spilling(guard, policy) }) {
             Ok(result) => {
                 prop_assert_eq!(
                     result.canonical_rows(),
