@@ -10,6 +10,7 @@
 //! | `table3`| Table 3 — plan execution time vs folding factor (×1/×10/×100/×500) |
 //! | `fig7`  | Figure 7 — DPAP-EB `T_e` sweep at folding ×100 |
 //! | `fig8`  | Figure 8 — DPAP-EB `T_e` sweep at folding ×1 |
+//! | `extended` | optimization cost vs pattern size (beyond the paper) |
 //!
 //! Scale control: by default the corpora are generated at reduced
 //! sizes so the full suite finishes in minutes; set `SJOS_BENCH_FULL=1`
@@ -24,7 +25,7 @@ use std::time::{Duration, Instant};
 use sjos_core::{optimize, Algorithm, CostModel, OptimizedPlan};
 use sjos_datagen::{dblp::dblp, fold_document, mbench::mbench, pers::pers};
 use sjos_datagen::{paper_sizes, DataSet, GenConfig, Workload};
-use sjos_exec::{execute, ExecOptions, ExecOutcome};
+use sjos_exec::{execute, ExecOptions};
 use sjos_pattern::Pattern;
 use sjos_stats::{Catalog, PatternEstimates};
 use sjos_storage::XmlStore;
@@ -85,14 +86,9 @@ pub fn corpus_override() -> Result<Option<Document>, String> {
             "--xml" => {
                 path = Some(args.next().ok_or("--xml requires a file path")?);
             }
-            // Parsed by `threads_override`; skip the value here.
-            "--threads" => {
-                args.next().ok_or("--threads requires a worker count")?;
-            }
             other => {
                 return Err(format!(
-                    "unrecognized argument `{other}` (only --xml <file> and \
-                     --threads <n> are accepted)"
+                    "unrecognized argument `{other}` (only --xml <file> is accepted)"
                 ));
             }
         }
@@ -104,39 +100,10 @@ pub fn corpus_override() -> Result<Option<Document>, String> {
     Ok(Some(doc))
 }
 
-/// The worker-thread count a bench binary was pointed at, if any:
-/// `--threads <n>` on the command line or the `SJOS_BENCH_THREADS`
-/// environment variable (the flag wins). `Ok(None)` means the binary
-/// should use its default (serial execution).
-pub fn threads_override() -> Result<Option<usize>, String> {
-    let mut threads = match std::env::var("SJOS_BENCH_THREADS").ok().filter(|v| !v.is_empty()) {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("SJOS_BENCH_THREADS must be a positive integer, got `{v}`"))?,
-        ),
-        None => None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            let v = args.next().ok_or("--threads requires a worker count")?;
-            threads = Some(
-                v.parse::<usize>()
-                    .map_err(|_| format!("--threads must be a positive integer, got `{v}`"))?,
-            );
-        }
-    }
-    if threads == Some(0) {
-        return Err("thread count must be at least 1".into());
-    }
-    Ok(threads)
-}
-
 /// A loaded corpus ready for measurement.
 pub struct Bench {
     store: XmlStore,
     catalog: Catalog,
-    model: CostModel,
 }
 
 impl Bench {
@@ -144,18 +111,12 @@ impl Bench {
     pub fn load(doc: Document) -> Bench {
         let catalog = Catalog::build(&doc);
         let store = XmlStore::load(doc);
-        Bench { store, catalog, model: CostModel::default() }
+        Bench { store, catalog }
     }
 
     /// Load one of the paper's corpora at the current scale.
     pub fn dataset(ds: DataSet) -> Bench {
         Self::load(generate(ds))
-    }
-
-    /// Override the cost model.
-    pub fn with_model(mut self, model: CostModel) -> Bench {
-        self.model = model;
-        self
     }
 
     /// The underlying store.
@@ -176,11 +137,12 @@ impl Bench {
         reps: usize,
     ) -> (OptimizedPlan, Duration) {
         let est = self.estimates(pattern);
+        let model = CostModel::default();
         let mut times = Vec::with_capacity(reps.max(1));
         let mut out = None;
         for _ in 0..reps.max(1) {
             let t0 = Instant::now();
-            let o = optimize(pattern, &est, &self.model, algorithm);
+            let o = optimize(pattern, &est, &model, algorithm);
             times.push(t0.elapsed());
             out = Some(o.expect("benchmark patterns are well-formed and must optimize"));
         }
@@ -188,27 +150,16 @@ impl Bench {
         (out.expect("reps >= 1"), times[times.len() / 2])
     }
 
-    /// Execute a plan once under `opts`, returning the outcome (with
-    /// its elapsed time inside). The measurement loops run with
-    /// `collect: false`, since folded corpora can produce tens of
-    /// millions of matches; `batch_rows = 1` reproduces the
-    /// tuple-at-a-time engine (the `pipeline` binary's before/after
-    /// knob); `threads` above 1 runs the morsel-partitioned engine.
-    pub fn run(
-        &self,
-        pattern: &Pattern,
-        plan: &sjos_exec::PlanNode,
-        opts: &ExecOptions,
-    ) -> ExecOutcome {
-        execute(&self.store, pattern, plan, opts).expect("optimizer plans are valid")
-    }
-
     /// One Table-1-style measurement: optimize (median of `reps`) and
     /// execute once.
     pub fn measure(&self, pattern: &Pattern, algorithm: Algorithm, reps: usize) -> Measurement {
         let (optimized, opt_time) = self.time_optimize(pattern, algorithm, reps);
+        // Count rather than collect: folded corpora can produce tens
+        // of millions of matches.
         let counting = ExecOptions { collect: false, ..ExecOptions::default() };
-        let result = self.run(pattern, &optimized.plan, &counting).result;
+        let result = execute(&self.store, pattern, &optimized.plan, &counting)
+            .expect("optimizer plans are valid")
+            .result;
         Measurement {
             algorithm,
             opt_time,
@@ -277,7 +228,6 @@ pub fn resolve_te(alg: Algorithm, pattern: &Pattern) -> Algorithm {
 #[derive(Default)]
 pub struct CorpusCache {
     cache: HashMap<&'static str, Bench>,
-    override_bench: Option<Bench>,
 }
 
 impl CorpusCache {
@@ -286,18 +236,8 @@ impl CorpusCache {
         Self::default()
     }
 
-    /// A cache that serves `doc` for *every* workload when given
-    /// `Some` (an operator-supplied corpus, see [`corpus_override`]),
-    /// and behaves like [`CorpusCache::new`] otherwise.
-    pub fn with_override(doc: Option<Document>) -> Self {
-        CorpusCache { cache: HashMap::new(), override_bench: doc.map(Bench::load) }
-    }
-
     /// Get or build the bench for a workload's data set.
     pub fn bench(&mut self, w: &Workload) -> &Bench {
-        if let Some(b) = &self.override_bench {
-            return b;
-        }
         self.cache.entry(w.dataset.name()).or_insert_with(|| Bench::dataset(w.dataset))
     }
 }

@@ -68,7 +68,9 @@ pub enum EngineError {
     Storage(StorageError),
     /// A resource guard stopped the execution. `partial` holds the
     /// metrics accumulated up to the stop — the executor entry points
-    /// fill it in so callers can see how far the plan got.
+    /// fill it in so callers can see how far the plan got. Under
+    /// `threads > 1` it is a lower bound on progress that may vary
+    /// from run to run (see `run_morsels` in the parallel module).
     Guard {
         /// What limit was breached.
         breach: GuardBreach,

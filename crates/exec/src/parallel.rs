@@ -304,6 +304,14 @@ pub fn stitch(parts: &[Vec<Region>], ranges: &[(u32, u32)]) -> Vec<Region> {
 /// failure (lowest morsel index wins, so errors are deterministic)
 /// aborts the remaining workers; a guard breach's partial snapshot
 /// then folds in every completed morsel's counters.
+///
+/// Under more than one worker that partial is a lower bound on
+/// progress, not a deterministic value: which morsels completed, and
+/// where a shared guard breached, depend on the interleaving, so it
+/// may vary from run to run. Folding in only the morsels below the
+/// failing index would not fix that, since those may themselves have
+/// been aborted. Each exact counter is still at most the serial
+/// run's, because completed morsels sum to their serial share.
 pub(crate) fn run_morsels(
     store: &XmlStore,
     pattern: &Pattern,

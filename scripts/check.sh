@@ -22,15 +22,6 @@ cargo test --quiet --test chaos -- --test-threads=1
 echo "==> cargo bench --no-run (criterion harnesses compile)"
 cargo bench --workspace --no-run --quiet
 
-echo "==> server bench smoke (shared-engine service: cache hits, zero bound violations)"
-cargo run --quiet -p sjos-bench --bin server -- --smoke
-
-echo "==> spill bench smoke (external sort: spills happen, bounds hold, zero temp-page leaks)"
-cargo run --quiet -p sjos-bench --bin spill -- --smoke
-
-echo "==> parallel bench smoke (morsel partitioning happens, answers bit-identical to serial)"
-cargo run --quiet -p sjos-bench --bin parallel -- --smoke
-
 echo "==> perfbench smoke (every workload for 2 s; a wrong answer exits nonzero)"
 for workload in paper-mix adhoc-twigs scan-bound; do
   cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \

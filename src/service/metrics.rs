@@ -1,5 +1,5 @@
 //! Service-level observability: per-session and aggregate counters,
-//! latency percentiles, and the JSON export the server bench and CLI
+//! latency percentiles, and the JSON export the service and CLI
 //! surface.
 
 use std::sync::atomic::{AtomicU64, Ordering};

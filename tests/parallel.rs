@@ -321,36 +321,66 @@ fn tap_delta_partitions_the_global_delta_at_every_thread_count() {
 /// dies mid-query on a guard breach, every read it issued before
 /// dying — and every read its aborted siblings issued — still lands
 /// in the session tap. Nothing leaks to the void on the abort path.
+/// The breach's `partial` is a lower bound on progress: which morsels
+/// finished first varies run to run, but no exact counter may exceed
+/// the unguarded serial run's.
 #[test]
 fn dying_worker_io_still_lands_in_the_session_tap() {
     let db = corpus(DataSet::Pers);
     let q = paper_queries().into_iter().find(|q| q.id == "Q.Pers.1.a").expect("catalog query");
     let pattern = q.pattern();
     let plan = db.optimize(&pattern, Algorithm::Dpp { lookahead: true }).expect("optimizes").plan;
-    // A budget tiny enough that a worker breaches mid-morsel, but not
-    // so tiny the run dies before the workers touch storage.
-    let guard = Arc::new(QueryGuard::unlimited().with_memory_budget(512));
+    let serial = db.execute(&pattern, &plan, &ExecOptions::default()).expect("serial run");
+    let serial = exact_counters(&serial.metrics);
 
-    let stats = Arc::new(IoStats::default());
-    let global_before = db.store().stats().snapshot();
-    let err = {
-        let _tap = IoTap::install(Arc::clone(&stats));
-        let opts = ExecOptions { guard: Some(guard), ..on_threads(4) };
-        sjos::execute(db.store(), &pattern, &plan, &opts).expect_err("a 512 B budget must breach")
-    };
-    match err {
-        EngineError::Guard { breach: GuardBreach::MemoryBudget { .. }, .. } => {}
-        other => panic!("expected a memory breach, got {other}"),
+    for threads in [2, 4] {
+        let unguarded = Arc::new(QueryGuard::unlimited());
+        let opts = ExecOptions { guard: Some(Arc::clone(&unguarded)), ..on_threads(threads) };
+        sjos::execute(db.store(), &pattern, &plan, &opts).expect("unguarded parallel run");
+        // A memory budget tiny enough that a worker breaches
+        // mid-morsel, but not so tiny the run dies before the workers
+        // touch storage; and a batch budget one pull short of the
+        // whole run, so the breach comes after most morsels finished.
+        let guards = [
+            ("memory", QueryGuard::unlimited().with_memory_budget(512)),
+            ("batch", QueryGuard::unlimited().with_batch_budget(unguarded.batches_pulled() - 1)),
+        ];
+        for (kind, guard) in guards {
+            let stats = Arc::new(IoStats::default());
+            let global_before = db.store().stats().snapshot();
+            let err = {
+                let _tap = IoTap::install(Arc::clone(&stats));
+                let opts = ExecOptions { guard: Some(Arc::new(guard)), ..on_threads(threads) };
+                sjos::execute(db.store(), &pattern, &plan, &opts)
+                    .expect_err("the budget must breach")
+            };
+            let at = format!("{threads} threads, {err}");
+            let partial = match (kind, err) {
+                (
+                    "memory",
+                    EngineError::Guard { breach: GuardBreach::MemoryBudget { .. }, partial },
+                )
+                | (
+                    "batch",
+                    EngineError::Guard { breach: GuardBreach::BatchBudget { .. }, partial },
+                ) => exact_counters(&partial),
+                (kind, other) => panic!("{at}: expected a {kind} breach, got {other}"),
+            };
+            let global = db.store().stats().snapshot().since(&global_before);
+            let tapped = stats.snapshot();
+            assert_eq!(
+                (tapped.record_reads, tapped.buffer_hits, tapped.disk_reads),
+                (global.record_reads, global.buffer_hits, global.disk_reads),
+                "{at}: a dying worker's I/O escaped the session tap on the abort path"
+            );
+            assert!(
+                tapped.record_reads + tapped.buffer_hits > 0,
+                "{at}: the workers died before doing any I/O — the error path ran vacuously"
+            );
+            assert!(
+                partial.iter().zip(&serial).all(|(p, s)| p <= s),
+                "{at}: partial {partial:?} exceeds the serial counters {serial:?}"
+            );
+        }
     }
-    let global = db.store().stats().snapshot().since(&global_before);
-    let tapped = stats.snapshot();
-    assert_eq!(
-        (tapped.record_reads, tapped.buffer_hits, tapped.disk_reads),
-        (global.record_reads, global.buffer_hits, global.disk_reads),
-        "a dying worker's I/O escaped the session tap on the abort path"
-    );
-    assert!(
-        tapped.record_reads + tapped.buffer_hits > 0,
-        "the workers died before doing any I/O — the error path ran vacuously"
-    );
 }

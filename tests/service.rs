@@ -22,14 +22,15 @@ fn pers_queries() -> Vec<Workload> {
     paper_queries().into_iter().filter(|w| w.dataset == DataSet::Pers).collect()
 }
 
-/// The certified peak of the most expensive query in the mix, used to
-/// size budgets deterministically.
-fn max_certificate(db: &Database, queries: &[Workload]) -> u64 {
+/// The certified peak of the most expensive (query, algorithm) pair
+/// in the mix, used to size budgets deterministically.
+fn max_certificate(db: &Database, queries: &[Workload], algorithms: &[Algorithm]) -> u64 {
     queries
         .iter()
-        .map(|w| {
+        .flat_map(|w| algorithms.iter().map(move |&algorithm| (w, algorithm)))
+        .map(|(w, algorithm)| {
             let pattern = w.pattern();
-            let plan = db.optimize(&pattern, DPP).expect("optimizes").plan;
+            let plan = db.optimize(&pattern, algorithm).expect("optimizes").plan;
             db.resource_bounds(&pattern, &plan).peak_bytes
         })
         .max()
@@ -41,14 +42,16 @@ fn max_certificate(db: &Database, queries: &[Workload]) -> u64 {
 /// The proof chain is (1) the controller's reservation high-water
 /// `peak_in_use` never exceeds the budget, and (2) every query's
 /// measured `peak_bytes` stays at or below its certified reservation
-/// (zero bound violations). Both are asserted exactly.
+/// (zero bound violations). Both are asserted exactly. One query in
+/// eight runs under FP rather than DPP, so the plan cache holds both
+/// algorithms' plans at once, and it must still serve hits.
 #[test]
 fn concurrent_admitted_queries_respect_the_global_budget() {
     let db = pers_db(3_000, 4);
     let queries = pers_queries();
     // 1.5x the largest certificate: any two concurrent heavy queries
     // contend, but every query fits alone.
-    let max_cert = max_certificate(&db, &queries);
+    let max_cert = max_certificate(&db, &queries, &[DPP, Algorithm::Fp]);
     let budget = max_cert + max_cert / 2;
     let service = QueryService::new(
         Arc::clone(&db),
@@ -72,7 +75,13 @@ fn concurrent_admitted_queries_respect_the_global_budget() {
                 barrier.wait();
                 for i in 0..PER_THREAD {
                     let w = &queries[(worker + i) % queries.len()];
-                    let out = session.query_with(w.query, DPP).expect("generous queue admits");
+                    let algorithm = if (worker * PER_THREAD + i).is_multiple_of(8) {
+                        Algorithm::Fp
+                    } else {
+                        DPP
+                    };
+                    let out =
+                        session.query_with(w.query, algorithm).expect("generous queue admits");
                     assert!(
                         out.result.metrics.peak_bytes <= out.plan.bounds.peak_bytes,
                         "{}: measured {} B escaped certificate {} B",
@@ -105,6 +114,7 @@ fn concurrent_admitted_queries_respect_the_global_budget() {
     assert!(
         m.max_measured_peak.load(Ordering::Relaxed) <= m.max_certified_peak.load(Ordering::Relaxed)
     );
+    assert!(service.cache_snapshot().hits > 0, "a repeated-pattern mix never hit the plan cache");
     // Non-vacuity: with a budget of 1.5x the largest certificate and
     // 8 threads, the run must have seen real concurrency — either two
     // reservations overlapped (peak above any single certificate) or
@@ -147,7 +157,7 @@ fn undersized_budget_rejects_with_typed_overloaded() {
 fn contended_budget_yields_queue_then_overloaded() {
     let db = pers_db(3_000, 8);
     let queries = pers_queries();
-    let budget = max_certificate(&db, &queries);
+    let budget = max_certificate(&db, &queries, &[DPP]);
     let service = QueryService::new(
         Arc::clone(&db),
         ServiceConfig {

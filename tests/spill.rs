@@ -194,6 +194,8 @@ fn spill_with_two_threads_runs_as_one_morsel() {
 /// materialization breaches a starved guard in plain mode completes
 /// bit-identically under the *same* memory budget once it may spill,
 /// and the measured resident peak honors the budget the whole way.
+/// A mid-point budget, halfway up to the in-memory certificate, spills
+/// less eagerly and must stay within its own policy's certificate.
 #[test]
 fn starved_guard_query_completes_bit_identically_via_spill() {
     let db = Database::from_document(wide_doc(20_000));
@@ -231,22 +233,30 @@ fn starved_guard_query_completes_bit_identically_via_spill() {
     assert_no_residue(&db, "starved in-memory run");
 
     // Same budget, spill allowed: the query completes, bit-identical,
-    // actually spilling, with the resident peak inside the budget.
-    let policy = SpillPolicy::for_budget(budget, 2, BATCH_ROWS)
-        .expect("budget at the spill certificate admits a policy");
-    let guard = Arc::new(QueryGuard::unlimited().with_memory_budget(budget));
-    let spilled = run(&db, &pattern, &plan, &spilling(guard, policy))
-        .expect("spill run under the starved budget");
-    assert_eq!(spilled.tuples, baseline.tuples, "spill changed the answer");
-    assert!(spilled.metrics.spilled_runs > 0, "starved run never spilled");
-    assert!(
-        spilled.metrics.peak_bytes <= floor.peak_bytes,
-        "measured resident peak {} escaped the certified spill bound {}",
-        spilled.metrics.peak_bytes,
-        floor.peak_bytes
-    );
-    assert!(spilled.io.spill_page_writes > 0 && spilled.io.spill_page_reads > 0);
-    assert_no_residue(&db, "starved spill run");
+    // actually spilling, with the resident peak inside the certificate.
+    // The mid-point run is held to its own policy's certificate.
+    let spill_at = |budget: usize| {
+        let policy = SpillPolicy::for_budget(budget, 2, BATCH_ROWS)
+            .expect("a budget at or above the spill certificate admits a policy");
+        spilling(Arc::new(QueryGuard::unlimited().with_memory_budget(budget)), policy)
+    };
+    let mid = budget + usize::try_from(full.peak_bytes - floor.peak_bytes).unwrap() / 2;
+    let (mid_bounds, _) = db.admit(&pattern, &plan, &spill_at(mid));
+    for (name, budget, certified) in
+        [("starved", budget, floor.peak_bytes), ("mid-point", mid, mid_bounds.peak_bytes)]
+    {
+        let spilled = run(&db, &pattern, &plan, &spill_at(budget))
+            .unwrap_or_else(|e| panic!("spill run under the {name} budget: {e}"));
+        assert_eq!(spilled.tuples, baseline.tuples, "{name}: spill changed the answer");
+        assert!(spilled.metrics.spilled_runs > 0, "{name} run never spilled");
+        assert!(
+            spilled.metrics.peak_bytes <= certified,
+            "{name}: measured resident peak {} escaped the certified spill bound {certified}",
+            spilled.metrics.peak_bytes,
+        );
+        assert!(spilled.io.spill_page_writes > 0 && spilled.io.spill_page_reads > 0);
+        assert_no_residue(&db, &format!("{name} spill run"));
+    }
 }
 
 /// Hygiene on every abnormal exit: cancellation, a batch-budget stop,
