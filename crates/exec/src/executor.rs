@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sjos_pattern::{Pattern, PnId, ValuePredicate};
+use sjos_pattern::{NodeSet, Pattern, PnId, ValuePredicate};
 use sjos_storage::index::RecordCursor;
 use sjos_storage::record::value_digest;
 use sjos_storage::XmlStore;
@@ -93,17 +93,44 @@ pub struct ExecOptions {
     /// Worker threads. Above 1 the plan is split into region-disjoint
     /// morsels when a valid cut exists (see [`crate::parallel`]).
     pub threads: usize,
+    /// Drop each column's region after the last operator that reads
+    /// it ([`PlanNode::region_liveness`]), so buffers and the result
+    /// hold 4 B per narrow entry instead of 16 B. `false` keeps every
+    /// column wide: the reference layout differential tests compare
+    /// against. Rows, their order and every counter except
+    /// `peak_bytes` are the same either way.
+    pub narrow: bool,
 }
 
 impl Default for ExecOptions {
-    /// Serial, materializing, in-memory, [`BATCH_ROWS`] per batch,
-    /// under a fresh unlimited guard.
+    /// Serial, materializing, in-memory, narrowing, [`BATCH_ROWS`] per
+    /// batch, under a fresh unlimited guard.
     fn default() -> ExecOptions {
-        ExecOptions { guard: None, batch_rows: BATCH_ROWS, collect: true, spill: None, threads: 1 }
+        ExecOptions {
+            guard: None,
+            batch_rows: BATCH_ROWS,
+            collect: true,
+            spill: None,
+            threads: 1,
+            narrow: true,
+        }
     }
 }
 
 impl ExecOptions {
+    /// The wide columns of every operator of `plan` under these
+    /// options, in pre-order: [`PlanNode::region_liveness`] when
+    /// narrowing, every column otherwise. The executor lays its
+    /// columns out by this and planck's certificates count the same
+    /// bytes.
+    pub fn wide_columns(&self, plan: &PlanNode) -> Vec<NodeSet> {
+        if self.narrow {
+            plan.region_liveness()
+        } else {
+            plan.liveness_under(NodeSet(u64::MAX))
+        }
+    }
+
     /// The most morsel pipelines a run under these options keeps live
     /// at once: `threads`, or 1 when sorts may spill (a spilling run
     /// is one morsel). Static bounds scale by this factor.
@@ -236,7 +263,9 @@ pub(crate) fn run_morsel(
     abort: &AtomicBool,
 ) -> Result<Option<MorselOut>, EngineError> {
     let metrics = ExecMetrics::new();
-    let mut root = build_operator(store, pattern, plan, &metrics, opts, guard, range)?;
+    let wide = opts.wide_columns(plan);
+    let mut root =
+        build_operator(store, pattern, plan, &mut wide.iter(), &metrics, opts, guard, range)?;
     let mut tuples = Rows::new();
     let mut count: u64 = 0;
     let ordered_col = root.ordered_col();
@@ -274,26 +303,36 @@ pub(crate) fn run_morsel(
 /// operators additionally report their growth to the guard's memory
 /// budget.
 ///
+/// `wide` yields each operator's wide columns in pre-order (from
+/// [`ExecOptions::wide_columns`]); a scan or join emits exactly those
+/// with regions, and a sort keeps its input's layout, which liveness
+/// makes the same.
+///
 /// `range` restricts every leaf scan to binding-list records whose
 /// `region.start` falls in `[lo, hi)` — how the parallel executor
 /// instantiates one morsel's pipeline (see [`crate::parallel`]).
 /// `None` scans everything.
+#[allow(clippy::too_many_arguments)]
 fn build_operator<'a>(
     store: &'a XmlStore,
     pattern: &Pattern,
     plan: &PlanNode,
+    wide: &mut std::slice::Iter<'_, NodeSet>,
     metrics: &Arc<ExecMetrics>,
     opts: &ExecOptions,
     guard: &Arc<QueryGuard>,
     range: Option<(u32, u32)>,
 ) -> Result<BoxedOperator<'a>, EngineError> {
     let batch_rows = opts.batch_rows;
+    let out_wide = *wide.next().expect("one liveness set per operator");
     let op: BoxedOperator<'a> = match plan {
-        PlanNode::IndexScan { pnode } => {
-            Box::new(build_scan(store, pattern, *pnode, metrics, range).with_batch_rows(batch_rows))
-        }
+        PlanNode::IndexScan { pnode } => Box::new(
+            build_scan(store, pattern, *pnode, metrics, range)
+                .with_batch_rows(batch_rows)
+                .narrowed(out_wide),
+        ),
         PlanNode::Sort { input, by } => {
-            let child = build_operator(store, pattern, input, metrics, opts, guard, range)?;
+            let child = build_operator(store, pattern, input, wide, metrics, opts, guard, range)?;
             let mut sort = SortOp::new(child, *by, Arc::clone(metrics))?
                 .with_batch_rows(batch_rows)
                 .with_guard(Arc::clone(guard));
@@ -303,18 +342,20 @@ fn build_operator<'a>(
             Box::new(sort)
         }
         PlanNode::StructuralJoin { left, right, anc, desc, axis, algo } => {
-            let l = build_operator(store, pattern, left, metrics, opts, guard, range)?;
-            let r = build_operator(store, pattern, right, metrics, opts, guard, range)?;
+            let l = build_operator(store, pattern, left, wide, metrics, opts, guard, range)?;
+            let r = build_operator(store, pattern, right, wide, metrics, opts, guard, range)?;
             match algo {
                 crate::plan::JoinAlgo::MergeJoin => Box::new(
                     MergeJoinOp::new(l, r, *anc, *desc, *axis, Arc::clone(metrics))?
                         .with_batch_rows(batch_rows)
-                        .with_guard(Arc::clone(guard)),
+                        .with_guard(Arc::clone(guard))
+                        .narrowed(out_wide),
                 ),
                 _ => Box::new(
                     StackTreeJoinOp::new(l, r, *anc, *desc, *axis, *algo, Arc::clone(metrics))?
                         .with_batch_rows(batch_rows)
-                        .with_guard(Arc::clone(guard)),
+                        .with_guard(Arc::clone(guard))
+                        .narrowed(out_wide),
                 ),
             }
         }

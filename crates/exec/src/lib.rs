@@ -64,7 +64,7 @@ pub use parallel::{
     partition_regions, plan_partition, scatter, stitch, straddles_every_cut, RegionPartition,
 };
 pub use plan::{JoinAlgo, OperatorContract, PlanNode};
-pub use tuple::{Entry, RowRef, Rows, Schema, Tuple, TupleBatch, BATCH_ROWS};
+pub use tuple::{Binding, Entry, RowRef, Rows, Schema, Tuple, TupleBatch, BATCH_ROWS};
 
 #[cfg(test)]
 mod thread_safety {

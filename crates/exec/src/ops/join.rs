@@ -17,7 +17,8 @@
 //!
 //! The merge loop stays tuple-granular on its *inputs* (the algorithms
 //! are inherently cursor-based), but it emits column at a time. The
-//! stack is column-major — one `Vec<Entry>` per left column — and a
+//! stack is a column-major batch in the left input's layout — its
+//! ancestor column wide, since the loop tests that region — and a
 //! descendant's matches are always one contiguous range at the top of
 //! it: every stack entry is a proper ancestor of the descendant, so
 //! for `//` the range is the whole stack, and for `/` it is the top
@@ -25,8 +26,12 @@
 //! entries have strictly smaller levels; equal levels only repeat one
 //! node, as when the left input carries an ancestor row once per
 //! earlier match). Stack-Tree-Desc therefore emits one descendant's
-//! matches with one slice copy per left column and one fill per right
-//! column, and Stack-Tree-Anc creates pairs for exactly that range.
+//! matches with one slice copy per left column vector and one fill per
+//! right column vector, and Stack-Tree-Anc creates pairs for exactly
+//! that range. Output columns take the widths the plan's liveness
+//! gives them ([`StackTreeJoinOp::narrowed`]): a join column no later
+//! join reads leaves without its region, and Anc's buffered pairs are
+//! kept at that output width.
 //!
 //! Nothing in the merge loop allocates per row or touches an atomic
 //! per row. The stack/buffer/output counters are accumulated locally
@@ -57,14 +62,15 @@
 
 use std::sync::Arc;
 
-use sjos_pattern::{Axis, PnId};
+use sjos_pattern::{Axis, NodeSet, PnId};
+use sjos_xml::{NodeId, Region};
 
 use crate::error::EngineError;
 use crate::guard::QueryGuard;
 use crate::metrics::ExecMetrics;
 use crate::ops::{BoxedOperator, InputCursor, Operator};
 use crate::plan::JoinAlgo;
-use crate::tuple::{Entry, Schema, TupleBatch, BATCH_ROWS};
+use crate::tuple::{Binding, Schema, TupleBatch, BATCH_ROWS};
 
 /// Link terminating a [`PairList`].
 const NIL: u32 = u32::MAX;
@@ -82,35 +88,77 @@ impl PairList {
     const EMPTY: PairList = PairList { head: NIL, tail: NIL, len: 0 };
 }
 
-/// Append-only storage for Stack-Tree-Anc's buffered output pairs:
-/// pair `k` is `entries[k * width..(k + 1) * width]`, and `next[k]`
-/// links it to the following pair of whichever list holds it.
+/// Append-only storage for Stack-Tree-Anc's buffered output pairs,
+/// row-major in the join's output layout so that draining a list —
+/// which visits pairs out of arena order — touches one contiguous
+/// record per pair: pair `k` is `words[k * stride..(k + 1) * stride]`,
+/// per output column its node id and, for a wide column, its region's
+/// start, end and level (exactly [`Schema::row_bytes`] per pair).
+/// `next[k]` links pair `k` to the following pair of whichever list
+/// holds it.
 struct PairArena {
-    width: usize,
-    entries: Vec<Entry>,
+    /// Per output column: does it keep its region?
+    wide: Vec<bool>,
+    stride: usize,
+    words: Vec<u32>,
     next: Vec<u32>,
 }
 
 impl PairArena {
-    fn new(width: usize) -> PairArena {
-        PairArena { width, entries: Vec::new(), next: Vec::new() }
+    fn new(schema: &Schema) -> PairArena {
+        let wide: Vec<bool> = (0..schema.width()).map(|c| schema.is_wide(c)).collect();
+        let stride = wide.iter().map(|&w| if w { 4 } else { 1 }).sum();
+        PairArena { wide, stride, words: Vec::new(), next: Vec::new() }
     }
 
-    /// Store the pair `anc ++ desc` at the end of `list`.
+    /// Store the pair `stack[anc] ++ desc[row]` at the end of `list`.
     fn push(
         &mut self,
         list: &mut PairList,
-        anc: impl Iterator<Item = Entry>,
-        desc: impl Iterator<Item = Entry>,
+        stack: &TupleBatch,
+        anc: usize,
+        desc: &TupleBatch,
+        row: usize,
     ) {
         let k = u32::try_from(self.next.len())
             .ok()
             .filter(|&k| k < NIL)
             .expect("pair arena index overflow");
-        self.entries.extend(anc);
-        self.entries.extend(desc);
+        let (anc_wide, desc_wide) = self.wide.split_at(stack.width());
+        for (src, row, wide) in [(stack, anc, anc_wide), (desc, row, desc_wide)] {
+            for (col, &wide) in wide.iter().enumerate() {
+                self.words.push(src.node(col, row).0);
+                if wide {
+                    let r = src.region(col, row);
+                    self.words.extend_from_slice(&[r.start, r.end, u32::from(r.level)]);
+                }
+            }
+        }
         self.next.push(NIL);
         *list = self.concat(*list, PairList { head: k, tail: k, len: 1 });
+    }
+
+    /// Append pairs `ks`, in order, to `out` (same layout), one
+    /// column vector at a time.
+    fn emit(&self, ks: &[u32], out: &mut TupleBatch) {
+        let (words, stride) = (&self.words, self.stride);
+        let at = move |k: u32, off: usize| words[k as usize * stride + off];
+        let mut off = 0;
+        for (c, &wide) in self.wide.iter().enumerate() {
+            let col = out.column_mut(c);
+            col.nodes.extend(ks.iter().map(|&k| Binding { node: NodeId(at(k, off)) }));
+            if wide {
+                col.regions.extend(ks.iter().map(|&k| Region {
+                    start: at(k, off + 1),
+                    end: at(k, off + 2),
+                    // Stored from a `u16`.
+                    level: at(k, off + 3) as u16,
+                }));
+                off += 4;
+            } else {
+                off += 1;
+            }
+        }
     }
 
     /// `a ++ b`, splicing `b` after `a`'s tail.
@@ -125,14 +173,9 @@ impl PairArena {
         PairList { head: a.head, tail: b.tail, len: a.len + b.len }
     }
 
-    fn pair(&self, k: u32) -> &[Entry] {
-        let k = k as usize;
-        &self.entries[k * self.width..(k + 1) * self.width]
-    }
-
     /// Drop every pair, keeping the capacity for reuse.
     fn clear(&mut self) {
-        self.entries.clear();
+        self.words.clear();
         self.next.clear();
     }
 }
@@ -202,15 +245,17 @@ pub struct StackTreeJoinOp<'a> {
     metrics: Arc<ExecMetrics>,
     guard: Option<Arc<QueryGuard>>,
 
-    /// The ancestor stack, column-major: `stack[c][i]` is column `c`
-    /// of the `i`-th entry from the bottom.
-    stack: Vec<Vec<Entry>>,
+    /// The ancestor stack in the left input's layout: row `i` is the
+    /// `i`-th entry from the bottom.
+    stack: TupleBatch,
     /// Anc: the pair lists of each stack entry (parallel to `stack`).
     lists: Vec<AncLists>,
     /// Anc: every buffered pair.
     arena: PairArena,
     /// Anc: completed output awaiting delivery.
     ready: PairList,
+    /// Anc: the pairs one drain takes from `ready` (reused buffer).
+    draining: Vec<u32>,
     done: bool,
     batch_rows: usize,
 
@@ -259,7 +304,7 @@ impl<'a> StackTreeJoinOp<'a> {
             ));
         }
         let schema = Arc::new(left.schema().concat(right.schema()));
-        let left_width = left.schema().width();
+        let stack = TupleBatch::new(Arc::clone(left.schema()));
         Ok(StackTreeJoinOp {
             left: InputCursor::new(left, left_col),
             right: InputCursor::new(right, right_col),
@@ -267,13 +312,14 @@ impl<'a> StackTreeJoinOp<'a> {
             right_col,
             axis,
             algo,
-            arena: PairArena::new(schema.width()),
+            arena: PairArena::new(&schema),
             schema,
             metrics,
             guard: None,
-            stack: vec![Vec::new(); left_width],
+            stack,
             lists: Vec::new(),
             ready: PairList::EMPTY,
+            draining: Vec::new(),
             done: false,
             batch_rows: BATCH_ROWS,
             c_pushes: 0,
@@ -301,6 +347,16 @@ impl<'a> StackTreeJoinOp<'a> {
         self
     }
 
+    /// Keep regions only for the output columns in `wide` (default:
+    /// every column as wide as its input). Anc's buffered pairs take
+    /// the same layout.
+    #[must_use]
+    pub fn narrowed(mut self, wide: NodeSet) -> Self {
+        self.schema = Arc::new(self.schema.narrowed(wide));
+        self.arena = PairArena::new(&self.schema);
+        self
+    }
+
     /// Start of the current left tuple's ancestor-column region. A
     /// pull may run the operators below, so pending live bytes are
     /// applied first.
@@ -309,7 +365,7 @@ impl<'a> StackTreeJoinOp<'a> {
             self.live.flush(&self.metrics);
         }
         let col = self.left_col;
-        Ok(self.left.peek()?.map(|(b, r)| b.entry(col, r).region.start))
+        Ok(self.left.peek()?.map(|(b, r)| b.region(col, r).start))
     }
 
     /// Start of the current right tuple's descendant-column region
@@ -319,31 +375,31 @@ impl<'a> StackTreeJoinOp<'a> {
             self.live.flush(&self.metrics);
         }
         let col = self.right_col;
-        Ok(self.right.peek()?.map(|(b, r)| b.entry(col, r).region.start))
+        Ok(self.right.peek()?.map(|(b, r)| b.region(col, r).start))
     }
 
     /// Number of entries on the stack.
     #[inline]
     fn depth(&self) -> usize {
-        self.stack[self.left_col].len()
+        self.stack.len()
     }
 
     /// Bytes of one stack entry's tuple.
     #[inline]
     fn stack_entry_bytes(&self) -> u64 {
-        (self.stack.len() * std::mem::size_of::<Entry>()) as u64
+        self.stack.schema().row_bytes() as u64
     }
 
     /// Bytes of one buffered output pair.
     #[inline]
     fn pair_bytes(&self) -> u64 {
-        (self.schema.width() * std::mem::size_of::<Entry>()) as u64
+        self.schema.row_bytes() as u64
     }
 
     /// Pop every stack entry whose interval ends before `pos`.
     fn pop_before(&mut self, pos: u32) {
-        let ancs = &self.stack[self.left_col];
-        let keep = ancs.iter().rposition(|a| a.region.end >= pos).map_or(0, |i| i + 1);
+        let ancs = self.stack.regions(self.left_col);
+        let keep = ancs.iter().rposition(|a| a.end >= pos).map_or(0, |i| i + 1);
         self.pop_to(keep);
     }
 
@@ -354,9 +410,7 @@ impl<'a> StackTreeJoinOp<'a> {
         if popped == 0 {
             return;
         }
-        for col in &mut self.stack {
-            col.truncate(keep);
-        }
+        self.stack.truncate(keep);
         self.c_pops += popped as u64;
         self.live.release(popped as u64 * self.stack_entry_bytes());
         if self.algo == JoinAlgo::StackTreeAnc {
@@ -379,9 +433,7 @@ impl<'a> StackTreeJoinOp<'a> {
     /// Push the current left row (the caller has peeked it).
     fn push_left(&mut self) -> Result<(), EngineError> {
         let (batch, row) = self.left.peek()?.expect("left row present");
-        for (c, col) in self.stack.iter_mut().enumerate() {
-            col.push(batch.entry(c, row));
-        }
+        self.stack.push_from(0, batch, row);
         self.left.advance();
         self.c_pushes += 1;
         self.live.reserve(self.stack_entry_bytes());
@@ -445,15 +497,16 @@ impl<'a> StackTreeJoinOp<'a> {
         let (batch, row) = self.right.peek()?.expect("right row present");
         // Every stack entry now contains the descendant, so the
         // matches are a top range of the stack (module docs).
-        let ancs = &self.stack[self.left_col];
+        let ancs = self.stack.regions(self.left_col);
         let first = match self.axis {
             Axis::Descendant => 0,
             Axis::Child => {
-                let parent = batch.entry(self.right_col, row).region.level.checked_sub(1);
-                ancs.iter().rposition(|a| Some(a.region.level) != parent).map_or(0, |i| i + 1)
+                let parent = batch.region(self.right_col, row).level.checked_sub(1);
+                ancs.iter().rposition(|a| Some(a.level) != parent).map_or(0, |i| i + 1)
             }
         };
-        let matches = ancs.len() - first;
+        let depth = ancs.len();
+        let matches = depth - first;
         match self.algo {
             JoinAlgo::StackTreeDesc => {
                 // Emit bottom-up so each descendant's pairs leave in
@@ -464,22 +517,18 @@ impl<'a> StackTreeJoinOp<'a> {
                 if out.len() + matches > out.capacity() {
                     out.reserve_exact(matches);
                 }
-                let left_width = self.stack.len();
-                for (c, col) in self.stack.iter().enumerate() {
-                    out.column_mut(c).extend_from_slice(&col[first..]);
+                let left_width = self.stack.width();
+                for c in 0..left_width {
+                    out.extend_column_from(c, &self.stack, c, first..depth);
                 }
                 for c in 0..batch.width() {
-                    let e = batch.entry(c, row);
-                    let dst = out.column_mut(left_width + c);
-                    dst.resize(dst.len() + matches, e);
+                    out.fill_column_from(left_width + c, batch, c, row, matches);
                 }
             }
             JoinAlgo::StackTreeAnc => {
                 let (stack, arena) = (&self.stack, &mut self.arena);
                 for (i, lists) in self.lists.iter_mut().enumerate().skip(first) {
-                    let anc = stack.iter().map(|col| col[i]);
-                    let desc = (0..batch.width()).map(|c| batch.entry(c, row));
-                    arena.push(&mut lists.own, anc, desc);
+                    arena.push(&mut lists.own, stack, i, batch, row);
                 }
                 let created = matches as u64;
                 self.c_buffered += created;
@@ -497,10 +546,12 @@ impl<'a> StackTreeJoinOp<'a> {
     fn drain_ready(&mut self, out: &mut TupleBatch) {
         let n = (self.batch_rows - out.len()).min(self.ready.len);
         let mut k = self.ready.head;
+        self.draining.clear();
         for _ in 0..n {
-            out.push_row(self.arena.pair(k));
+            self.draining.push(k);
             k = self.arena.next[k as usize];
         }
+        self.arena.emit(&self.draining, out);
         self.ready.head = k;
         self.ready.len -= n;
         self.live.release(n as u64 * self.pair_bytes());
@@ -539,9 +590,8 @@ impl<'a> StackTreeJoinOp<'a> {
     fn reserve_buffered(&mut self) -> Result<(), EngineError> {
         if self.pairs_created > self.pairs_reserved {
             if let Some(guard) = &self.guard {
-                let pair_bytes = self.schema.width() * std::mem::size_of::<Entry>();
-                let fresh = (self.pairs_created - self.pairs_reserved) as usize;
-                guard.reserve(fresh * pair_bytes)?;
+                let fresh = self.pairs_created - self.pairs_reserved;
+                guard.reserve((fresh * self.pair_bytes()) as usize)?;
             }
             self.pairs_reserved = self.pairs_created;
         }
@@ -563,7 +613,7 @@ impl Operator for StackTreeJoinOp<'_> {
 
     fn ordered_col(&self) -> usize {
         match self.algo {
-            JoinAlgo::StackTreeDesc => self.stack.len() + self.right_col,
+            JoinAlgo::StackTreeDesc => self.stack.width() + self.right_col,
             _ => self.left_col,
         }
     }
@@ -599,7 +649,7 @@ impl Operator for StackTreeJoinOp<'_> {
 mod tests {
     use super::*;
     use crate::ops::VecInput;
-    use sjos_xml::{NodeId, Region};
+    use crate::tuple::Entry;
 
     fn fixed(col: PnId, regions: Vec<Region>) -> VecInput {
         let entries = regions

@@ -10,21 +10,22 @@
 //! faithfully here (and priced by the cost model's rescan term).
 //! Output is ordered by the ancestor column.
 //!
-//! The descendant buffer is kept columnar (one `Vec<Entry>` per right
-//! column) so rescans walk a dense region array, and the rescan/output
+//! The descendant buffer is kept columnar, in the right input's layout,
+//! so rescans walk a dense region array, and the rescan/output
 //! counters are flushed to the shared metrics once per batch. Buffer
 //! growth is reported to the attached [`QueryGuard`] (if any) at the
-//! same per-batch granularity.
+//! same per-batch granularity. Output columns take the widths the
+//! plan's liveness gives them ([`MergeJoinOp::narrowed`]).
 
 use std::sync::Arc;
 
-use sjos_pattern::{Axis, PnId};
+use sjos_pattern::{Axis, NodeSet, PnId};
 
 use crate::error::EngineError;
 use crate::guard::QueryGuard;
 use crate::metrics::ExecMetrics;
 use crate::ops::{BoxedOperator, InputCursor, Operator};
-use crate::tuple::{Entry, Schema, TupleBatch, BATCH_ROWS};
+use crate::tuple::{Schema, TupleBatch, BATCH_ROWS};
 
 /// Merge-based structural join; output ordered by the ancestor.
 pub struct MergeJoinOp<'a> {
@@ -38,16 +39,16 @@ pub struct MergeJoinOp<'a> {
     metrics: Arc<ExecMetrics>,
     guard: Option<Arc<QueryGuard>>,
 
-    /// Buffered descendant tuples, column-major (grows lazily).
-    right_buf: Vec<Vec<Entry>>,
+    /// Buffered descendant tuples (grows lazily).
+    right_buf: TupleBatch,
     right_done: bool,
     /// First buffered row that can still join a future ancestor.
     mark: usize,
     /// Scan position within the current ancestor's window.
     scan: usize,
     /// The current ancestor row, reused across rows; empty once the
-    /// left input is exhausted (rows are never zero-width).
-    cur_left: Vec<Entry>,
+    /// left input is exhausted.
+    cur_left: TupleBatch,
     started: bool,
     batch_rows: usize,
 
@@ -83,7 +84,8 @@ impl<'a> MergeJoinOp<'a> {
         })?;
         let schema = Arc::new(left.schema().concat(right.schema()));
         let left_width = left.schema().width();
-        let right_width = right.schema().width();
+        let right_buf = TupleBatch::new(Arc::clone(right.schema()));
+        let cur_left = TupleBatch::new(Arc::clone(left.schema()));
         Ok(MergeJoinOp {
             left: InputCursor::new(left, left_col),
             right: InputCursor::new(right, right_col),
@@ -94,11 +96,11 @@ impl<'a> MergeJoinOp<'a> {
             schema,
             metrics,
             guard: None,
-            right_buf: (0..right_width).map(|_| Vec::new()).collect(),
+            right_buf,
             right_done: false,
             mark: 0,
             scan: 0,
-            cur_left: Vec::new(),
+            cur_left,
             started: false,
             batch_rows: BATCH_ROWS,
             c_rescans: 0,
@@ -121,22 +123,28 @@ impl<'a> MergeJoinOp<'a> {
         self
     }
 
+    /// Keep regions only for the output columns in `wide` (default:
+    /// every column as wide as its input).
+    #[must_use]
+    pub fn narrowed(mut self, wide: NodeSet) -> Self {
+        self.schema = Arc::new(self.schema.narrowed(wide));
+        self
+    }
+
     fn right_len(&self) -> usize {
-        self.right_buf.first().map_or(0, Vec::len)
+        self.right_buf.len()
     }
 
     fn fill_right_until(&mut self, pos: u32) -> Result<(), EngineError> {
         while !self.right_done {
             let need_more =
-                self.right_buf[self.right_col].last().is_none_or(|e| e.region.start < pos);
+                self.right_buf.regions(self.right_col).last().is_none_or(|r| r.start < pos);
             if !need_more {
                 break;
             }
             match self.right.peek()? {
                 Some((batch, row)) => {
-                    for (c, col) in self.right_buf.iter_mut().enumerate() {
-                        col.push(batch.entry(c, row));
-                    }
+                    self.right_buf.push_from(0, batch, row);
                     self.right.advance();
                 }
                 None => self.right_done = true,
@@ -146,10 +154,10 @@ impl<'a> MergeJoinOp<'a> {
     }
 
     fn advance_left(&mut self) -> Result<(), EngineError> {
-        self.cur_left.clear();
+        self.cur_left.truncate(0);
         match self.left.peek()? {
             Some((batch, row)) => {
-                batch.append_row_to(row, &mut self.cur_left);
+                self.cur_left.push_from(0, batch, row);
                 self.left.advance();
             }
             // No future ancestor exists; run the abandoned right side
@@ -157,12 +165,12 @@ impl<'a> MergeJoinOp<'a> {
             None => self.right.exhaust()?,
         }
         if !self.cur_left.is_empty() {
-            let a_region = self.cur_left[self.left_col].region;
+            let a_region = self.cur_left.region(self.left_col, 0);
             // Move the mark past descendants that precede this (and
             // therefore every later) ancestor.
             self.fill_right_until(a_region.start)?;
             while self.mark < self.right_len()
-                && self.right_buf[self.right_col][self.mark].region.start < a_region.start
+                && self.right_buf.region(self.right_col, self.mark).start < a_region.start
             {
                 self.mark += 1;
             }
@@ -187,8 +195,7 @@ impl<'a> MergeJoinOp<'a> {
     fn reserve_buffer(&mut self) -> Result<(), EngineError> {
         let rows = self.right_len();
         if rows > self.reserved_rows {
-            let bytes =
-                (rows - self.reserved_rows) * self.right_buf.len() * std::mem::size_of::<Entry>();
+            let bytes = (rows - self.reserved_rows) * self.right_buf.schema().row_bytes();
             self.metrics.reserve_bytes(bytes as u64);
             self.metrics_reserved_bytes += bytes as u64;
             if let Some(guard) = &self.guard {
@@ -228,9 +235,9 @@ impl Operator for MergeJoinOp<'_> {
             if self.cur_left.is_empty() {
                 break;
             }
-            let a_region = self.cur_left[self.left_col].region;
+            let a_region = self.cur_left.region(self.left_col, 0);
             let in_window = self.scan < self.right_len()
-                && self.right_buf[self.right_col][self.scan].region.start < a_region.end;
+                && self.right_buf.region(self.right_col, self.scan).start < a_region.end;
             if !in_window {
                 if let Err(e) = self.advance_left() {
                     self.flush_rescans();
@@ -239,7 +246,7 @@ impl Operator for MergeJoinOp<'_> {
                 continue;
             }
             let row = self.scan;
-            let d_region = self.right_buf[self.right_col][row].region;
+            let d_region = self.right_buf.region(self.right_col, row);
             self.scan += 1;
             self.c_rescans += 1;
             // Window membership implies containment (regions nest);
@@ -251,12 +258,8 @@ impl Operator for MergeJoinOp<'_> {
             if self.axis == Axis::Child && a_region.level + 1 != d_region.level {
                 continue;
             }
-            for (col, &e) in self.cur_left.iter().enumerate() {
-                out.column_mut(col).push(e);
-            }
-            for (j, src) in self.right_buf.iter().enumerate() {
-                out.column_mut(self.left_width + j).push(src[row]);
-            }
+            out.push_from(0, &self.cur_left, 0);
+            out.push_from(self.left_width, &self.right_buf, row);
         }
         self.flush_rescans();
         self.reserve_buffer()?;
@@ -273,6 +276,7 @@ mod tests {
     use super::*;
     use crate::error::GuardBreach;
     use crate::ops::VecInput;
+    use crate::tuple::Entry;
     use sjos_xml::{NodeId, Region};
 
     fn fixed(col: PnId, regions: Vec<Region>) -> VecInput {

@@ -2,10 +2,11 @@
 //! columnar [`TupleBatch`] instead of a single tuple.
 //!
 //! Every operator declares via [`Operator::ordered_col`] which output
-//! column it keeps in document order `(region.start, region.end)`.
-//! Debug builds verify that promise on every batch crossing an
-//! operator boundary (see [`OrderingCheck`]); release builds pay
-//! nothing.
+//! column it keeps in document order — `(region.start, region.end)`
+//! on a wide column, node id on a narrow one (the same order; see
+//! [`crate::tuple`]). Debug builds verify that promise on every batch
+//! crossing an operator boundary (see [`OrderingCheck`]); release
+//! builds pay nothing.
 
 pub mod join;
 pub mod merge;
@@ -25,9 +26,8 @@ use crate::tuple::{Schema, Tuple, TupleBatch, BATCH_ROWS};
 /// A pull-based operator producing columnar batches.
 ///
 /// Contract: batches are never empty; end-of-stream is `Ok(None)`. The
-/// column at [`Operator::ordered_col`] is non-decreasing in
-/// `(region.start, region.end)` within each batch and across
-/// consecutive batches. An `Err` is terminal: a storage fault or a
+/// column at [`Operator::ordered_col`] is non-decreasing in document
+/// order within each batch and across consecutive batches. An `Err` is terminal: a storage fault or a
 /// guard breach propagated up the tree — callers must not pull again.
 pub trait Operator {
     /// Column layout of produced batches.
@@ -54,7 +54,7 @@ pub type BoxedOperator<'a> = Box<dyn Operator + Send + 'a>;
 #[derive(Debug, Default)]
 pub struct OrderingCheck {
     #[cfg(debug_assertions)]
-    last: Option<(u32, u32)>,
+    last: Option<u64>,
 }
 
 impl OrderingCheck {
@@ -70,15 +70,13 @@ impl OrderingCheck {
         #[cfg(debug_assertions)]
         {
             debug_assert!(batch.is_sorted_by(col), "batch not sorted by ordered column {col}");
-            if let Some(first) = batch.column(col).first() {
-                let key = (first.region.start, first.region.end);
+            if let Some(last_row) = batch.len().checked_sub(1) {
+                let key = batch.order_key(col, 0);
                 debug_assert!(
                     self.last.is_none_or(|last| last <= key),
                     "batch regresses across boundary on ordered column {col}"
                 );
-            }
-            if let Some(last) = batch.column(col).last() {
-                self.last = Some((last.region.start, last.region.end));
+                self.last = Some(batch.order_key(col, last_row));
             }
         }
         #[cfg(not(debug_assertions))]

@@ -2,13 +2,13 @@
 
 use std::sync::Arc;
 
-use sjos_pattern::PnId;
+use sjos_pattern::{NodeSet, PnId};
 use sjos_storage::index::RecordCursor;
 
 use crate::error::EngineError;
 use crate::metrics::ExecMetrics;
 use crate::ops::Operator;
-use crate::tuple::{Entry, Schema, TupleBatch, BATCH_ROWS};
+use crate::tuple::{Schema, TupleBatch, BATCH_ROWS};
 
 /// Streams one pattern node's binding list in document order,
 /// optionally filtering by a value digest (equality predicates are
@@ -57,6 +57,14 @@ impl<'a> IndexScanOp<'a> {
         self.batch_rows = batch_rows.max(1);
         self
     }
+
+    /// Keep regions only if the scanned node is in `wide` (default:
+    /// wide).
+    #[must_use]
+    pub fn narrowed(mut self, wide: NodeSet) -> Self {
+        self.schema = Arc::new(self.schema.narrowed(wide));
+        self
+    }
 }
 
 impl Operator for IndexScanOp<'_> {
@@ -76,7 +84,7 @@ impl Operator for IndexScanOp<'_> {
         let read = self.cursor.fill(self.batch_rows, &mut scanned, |rec| {
             let keep = filter.is_none_or(|want| rec.value_hash == want);
             if keep {
-                column.push(Entry { node: rec.node, region: rec.region });
+                column.push(rec.node, rec.region);
             }
             keep
         });
@@ -114,7 +122,7 @@ mod tests {
         while let Some(b) = op.next_batch().unwrap() {
             assert!(!b.is_empty(), "batches are never empty");
             assert!(b.is_sorted_by(0));
-            starts.extend(b.column(0).iter().map(|e| e.region.start));
+            starts.extend(b.regions(0).iter().map(|r| r.start));
         }
         assert_eq!(starts.len(), 3);
         assert!(starts.windows(2).all(|w| w[0] < w[1]));

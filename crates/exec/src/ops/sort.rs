@@ -7,17 +7,23 @@ use std::sync::Arc;
 
 use sjos_pattern::PnId;
 use sjos_storage::{BufferPool, Page, SpillSegment, TempPages, PAGE_SIZE};
+use sjos_xml::{NodeId, Region};
 
 use crate::error::EngineError;
 use crate::guard::QueryGuard;
 use crate::metrics::ExecMetrics;
 use crate::ops::{BoxedOperator, Operator};
-use crate::tuple::{Entry, Schema, TupleBatch, BATCH_ROWS};
+use crate::tuple::{Entry, Schema, TupleBatch, BATCH_ROWS, WIDE_BYTES};
 
 /// Bytes of one [`Entry`] when encoded on a temp page: `u32` node id,
 /// `u32` region start, `u32` region end, `u16` level — denser than the
-/// padded in-memory layout, and stable across platforms.
+/// padded in-memory layout, and stable across platforms. A narrow
+/// column is encoded the same way with a zero region, so a run's page
+/// count does not depend on the column layout.
 const ENTRY_ENC_BYTES: usize = 14;
+
+/// What a narrow column's entry carries on a temp page.
+const NO_REGION: Region = Region { start: 0, end: 0, level: 0 };
 
 /// Temp-page header: `u16` row count at offset 0; bytes 4..8 are the
 /// page checksum field stamped by the pool's write-through path.
@@ -67,18 +73,21 @@ impl SpillPolicy {
     }
 
     /// Worst-case resident bytes of one merge cursor: a full temp
-    /// page decoded to the (padded) in-memory entry layout.
+    /// page decoded to the in-memory layout, every column wide. (A
+    /// sort accounts each cursor at the rows its run can actually
+    /// decode in its own layout, which never exceeds this.)
     pub fn cursor_bytes(&self, width: usize) -> usize {
-        self.rows_per_page(width) * width * std::mem::size_of::<Entry>()
+        self.rows_per_page(width) * width * WIDE_BYTES
     }
 
     /// Worst-case resident bytes of a spilling sort over rows of
     /// `width` columns pulled in `batch_rows`-row batches: the buffer
     /// (threshold, or a single oversized batch), the merge cursors,
     /// and one run-writer page. This is the bound the static spill
-    /// admission certifies against a memory budget.
+    /// admission certifies against a memory budget; it counts every
+    /// column wide, so it holds for any column layout.
     pub fn resident_bound(&self, width: usize, batch_rows: usize) -> usize {
-        let batch = batch_rows * width * std::mem::size_of::<Entry>();
+        let batch = batch_rows * width * WIDE_BYTES;
         self.threshold_bytes + batch + self.fan_in * self.cursor_bytes(width) + PAGE_SIZE
     }
 
@@ -103,8 +112,8 @@ fn encode_entry(page: &mut Page, off: usize, e: Entry) {
 
 fn decode_entry(page: &Page, off: usize) -> Entry {
     Entry {
-        node: sjos_xml::NodeId(page.read_u32(off)),
-        region: sjos_xml::Region {
+        node: NodeId(page.read_u32(off)),
+        region: Region {
             start: page.read_u32(off + 4),
             end: page.read_u32(off + 8),
             level: page.read_u16(off + 12),
@@ -143,17 +152,22 @@ impl<'a> RunWriter<'a> {
         }
     }
 
-    fn push_with(
+    /// Encode row `row` of `src` (the sort's layout).
+    fn push_row(
         &mut self,
         pool: &BufferPool,
-        get: impl Fn(usize) -> Entry,
+        src: &TupleBatch,
+        row: usize,
     ) -> Result<(), EngineError> {
         if self.in_page == self.rows_per_page {
             self.flush_page(pool)?;
         }
         let base = RUN_PAGE_HEADER + self.in_page * self.width * ENTRY_ENC_BYTES;
         for c in 0..self.width {
-            encode_entry(&mut self.page, base + c * ENTRY_ENC_BYTES, get(c));
+            // A narrow column has no region vector to read.
+            let region = src.regions(c).get(row).copied().unwrap_or(NO_REGION);
+            let e = Entry { node: src.node(c, row), region };
+            encode_entry(&mut self.page, base + c * ENTRY_ENC_BYTES, e);
         }
         self.in_page += 1;
         self.rows += 1;
@@ -177,30 +191,31 @@ impl<'a> RunWriter<'a> {
     }
 }
 
-/// Read cursor over one run: decodes a page's rows at a time (the pin
-/// is dropped immediately, so a merge never holds more than one pin).
+/// Read cursor over one run: decodes a page's rows at a time into the
+/// sort's layout (the pin is dropped immediately, so a merge never
+/// holds more than one pin).
 struct RunCursor<'a> {
     run: SpillRun<'a>,
     next_page: usize,
-    buf: Vec<Entry>,
+    buf: TupleBatch,
     pos: usize,
-    width: usize,
 }
 
 impl<'a> RunCursor<'a> {
     fn new(
         run: SpillRun<'a>,
-        width: usize,
+        schema: &Arc<Schema>,
         pool: &BufferPool,
         segment: &SpillSegment,
     ) -> Result<RunCursor<'a>, EngineError> {
-        let mut cursor = RunCursor { run, next_page: 0, buf: Vec::new(), pos: 0, width };
+        let buf = TupleBatch::new(Arc::clone(schema));
+        let mut cursor = RunCursor { run, next_page: 0, buf, pos: 0 };
         cursor.refill(pool, segment)?;
         Ok(cursor)
     }
 
     fn refill(&mut self, pool: &BufferPool, segment: &SpillSegment) -> Result<(), EngineError> {
-        self.buf.clear();
+        self.buf.truncate(0);
         self.pos = 0;
         if self.next_page >= self.run.pages.len() {
             return Ok(());
@@ -209,85 +224,78 @@ impl<'a> RunCursor<'a> {
         self.next_page += 1;
         let page = segment.read(pool, id)?;
         let count = page.read_u16(0) as usize;
-        self.buf.reserve(count * self.width);
+        let width = self.buf.width();
+        self.buf.reserve_exact(count);
         for r in 0..count {
-            let base = RUN_PAGE_HEADER + r * self.width * ENTRY_ENC_BYTES;
-            for c in 0..self.width {
-                self.buf.push(decode_entry(&page, base + c * ENTRY_ENC_BYTES));
+            let base = RUN_PAGE_HEADER + r * width * ENTRY_ENC_BYTES;
+            for c in 0..width {
+                let e = decode_entry(&page, base + c * ENTRY_ENC_BYTES);
+                self.buf.push_value(c, e.node, e.region);
             }
         }
         Ok(())
     }
 
-    fn row(&self) -> &[Entry] {
-        &self.buf[self.pos * self.width..(self.pos + 1) * self.width]
-    }
-
-    fn key(&self, col: usize) -> Option<(u32, u32)> {
-        if self.pos * self.width >= self.buf.len() {
-            return None;
-        }
-        let e = self.buf[self.pos * self.width + col];
-        Some((e.region.start, e.region.end))
+    fn key(&self, col: usize) -> Option<u64> {
+        (self.pos < self.buf.len()).then(|| self.buf.order_key(col, self.pos))
     }
 
     fn advance(&mut self, pool: &BufferPool, segment: &SpillSegment) -> Result<(), EngineError> {
         self.pos += 1;
-        if self.pos * self.width >= self.buf.len() {
+        if self.pos >= self.buf.len() {
             self.refill(pool, segment)?;
         }
         Ok(())
     }
 }
 
-/// K-way merge over run cursors, keyed `(start, end, run index)`. The
-/// run-index tiebreak makes the merge equivalent to one stable sort
-/// over the whole input: equal keys surface from earlier runs first,
-/// and runs are flushed in input order.
+/// K-way merge over run cursors, keyed `(document order, run index)`.
+/// The run-index tiebreak makes the merge equivalent to one stable
+/// sort over the whole input: equal keys surface from earlier runs
+/// first, and runs are flushed in input order.
 struct MergeState<'a> {
     cursors: Vec<RunCursor<'a>>,
-    heap: BinaryHeap<Reverse<(u32, u32, usize)>>,
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
 }
 
 impl<'a> MergeState<'a> {
     fn new(
         runs: Vec<SpillRun<'a>>,
-        width: usize,
+        schema: &Arc<Schema>,
         col: usize,
         pool: &BufferPool,
         segment: &SpillSegment,
     ) -> Result<MergeState<'a>, EngineError> {
         let mut cursors = Vec::with_capacity(runs.len());
         for run in runs {
-            cursors.push(RunCursor::new(run, width, pool, segment)?);
+            cursors.push(RunCursor::new(run, schema, pool, segment)?);
         }
         let mut heap = BinaryHeap::with_capacity(cursors.len());
         for (i, c) in cursors.iter().enumerate() {
-            if let Some((s, e)) = c.key(col) {
-                heap.push(Reverse((s, e, i)));
+            if let Some(key) = c.key(col) {
+                heap.push(Reverse((key, i)));
             }
         }
         Ok(MergeState { cursors, heap })
     }
 
-    /// Copy the globally-next row into `out`. `Ok(false)` when every
-    /// run is exhausted.
-    fn pop_into(
+    /// Hand the globally-next row to `emit` as (cursor page, row).
+    /// `Ok(false)` when every run is exhausted.
+    fn pop(
         &mut self,
         pool: &BufferPool,
         segment: &SpillSegment,
         col: usize,
-        out: &mut Vec<Entry>,
+        emit: impl FnOnce(&TupleBatch, usize) -> Result<(), EngineError>,
     ) -> Result<bool, EngineError> {
-        let Some(Reverse((_, _, idx))) = self.heap.pop() else {
+        let Some(Reverse((_, idx))) = self.heap.pop() else {
             return Ok(false);
         };
         let cursor = &mut self.cursors[idx];
-        out.clear();
-        out.extend_from_slice(cursor.row());
+        emit(&cursor.buf, cursor.pos)?;
         cursor.advance(pool, segment)?;
-        if let Some((s, e)) = cursor.key(col) {
-            self.heap.push(Reverse((s, e, idx)));
+        if let Some(key) = cursor.key(col) {
+            self.heap.push(Reverse((key, idx)));
         }
         Ok(true)
     }
@@ -310,9 +318,12 @@ struct SpillCtx<'a> {
 /// non-fully-pipelined plans pay for (`n log n * f_s` in the cost
 /// model), and what the FP algorithm avoids entirely.
 ///
-/// The buffer is kept columnar: input batches append straight onto
-/// per-column arrays, a sort permutation is computed over the key
-/// column only, and output batches gather through that permutation.
+/// The buffer is kept columnar, in the input's layout: input batches
+/// append straight onto its column vectors, a sort permutation is
+/// computed over the key column only, and output batches gather
+/// through that permutation. A wide key column is ordered by
+/// `(region.start, region.end)`, a narrow one by node id — the same
+/// order, so the sort never keeps a region only to key on it.
 ///
 /// As an unboundedly-buffering operator, the sort reports its
 /// materialization to the [`QueryGuard`] (when one is attached) one
@@ -332,7 +343,7 @@ pub struct SortOp<'a> {
     schema: Arc<Schema>,
     col: usize,
     /// Materialized input, column-major.
-    buffer: Vec<Vec<Entry>>,
+    buffer: TupleBatch,
     /// Row indices of `buffer` in sorted order (in-memory path only).
     perm: Vec<u32>,
     /// Next position in `perm` to emit.
@@ -368,9 +379,9 @@ impl<'a> SortOp<'a> {
             .ok_or_else(|| EngineError::InvalidPlan(format!("sort by unbound column {by:?}")))?;
         Ok(SortOp {
             input: Some(input),
+            buffer: TupleBatch::new(Arc::clone(&schema)),
             schema,
             col,
-            buffer: Vec::new(),
             perm: Vec::new(),
             emitted: 0,
             metrics,
@@ -465,18 +476,12 @@ impl<'a> SortOp<'a> {
                 "schema of {width} columns is too wide to spill (row exceeds a page)"
             )));
         }
-        let rows = self.buffer.first().map_or(0, Vec::len);
-        let keys = &self.buffer[self.col];
-        let mut perm: Vec<u32> = (0..rows as u32).collect();
-        perm.sort_by_key(|&r| {
-            let e = keys[r as usize];
-            (e.region.start, e.region.end)
-        });
+        let perm = self.permutation();
         // The writer's page buffer is resident while the run encodes.
         self.track_reserve(PAGE_SIZE)?;
         let mut writer = RunWriter::new(segment, width, rows_per_page);
         for &r in &perm {
-            writer.push_with(pool, |c| self.buffer[c][r as usize])?;
+            writer.push_row(pool, &self.buffer, r as usize)?;
         }
         let run = writer.finish(pool)?;
         ExecMetrics::add(&self.metrics.spilled_runs, 1);
@@ -484,12 +489,19 @@ impl<'a> SortOp<'a> {
         self.spill.as_mut().expect("spill mode").runs.push(run);
         self.track_release(PAGE_SIZE);
         let freed = self.buffered_bytes;
-        for c in &mut self.buffer {
-            c.clear();
-        }
+        self.buffer.truncate(0);
         self.buffered_bytes = 0;
         self.track_release(freed);
         Ok(())
+    }
+
+    /// Row indices of `buffer` in stable sorted order of the key
+    /// column.
+    fn permutation(&self) -> Vec<u32> {
+        let rows = u32::try_from(self.buffer.len()).expect("sort buffer row count fits u32");
+        let mut perm: Vec<u32> = (0..rows).collect();
+        perm.sort_by_key(|&r| self.buffer.order_key(self.col, r as usize));
+        perm
     }
 
     /// Cascade-merge runs down to the fan-in, then stand up the final
@@ -497,9 +509,16 @@ impl<'a> SortOp<'a> {
     fn finish_spill(&mut self) -> Result<u64, EngineError> {
         let ctx = self.spill.as_ref().expect("finish_spill requires spill mode");
         let (pool, segment, policy) = (ctx.pool, ctx.segment, ctx.policy);
-        let width = self.schema.width();
+        let schema = Arc::clone(&self.schema);
+        let width = schema.width();
         let col = self.col;
-        let cursor_bytes = policy.cursor_bytes(width);
+        // A cursor decodes one page of its run at a time: at most a
+        // page's rows, and never more than the run holds — so the
+        // cursors of any set of runs hold at most those runs' bytes.
+        let rows_per_page = policy.rows_per_page(width);
+        let cursors_bytes = |runs: &[SpillRun<'a>]| -> usize {
+            runs.iter().map(|r| r.rows.min(rows_per_page) * schema.row_bytes()).sum()
+        };
         let mut runs = std::mem::take(&mut self.spill.as_mut().expect("spill mode").runs);
         while runs.len() > policy.fan_in {
             // One cascade round: merge consecutive groups of `fan_in`
@@ -516,14 +535,11 @@ impl<'a> SortOp<'a> {
                     next.extend(head);
                     continue;
                 }
-                self.track_reserve(head.len() * cursor_bytes + PAGE_SIZE)?;
-                let reserved = head.len() * cursor_bytes + PAGE_SIZE;
-                let mut merge = MergeState::new(head, width, col, pool, segment)?;
-                let mut writer = RunWriter::new(segment, width, policy.rows_per_page(width));
-                let mut row = Vec::with_capacity(width);
-                while merge.pop_into(pool, segment, col, &mut row)? {
-                    writer.push_with(pool, |c| row[c])?;
-                }
+                let reserved = cursors_bytes(&head) + PAGE_SIZE;
+                self.track_reserve(reserved)?;
+                let mut merge = MergeState::new(head, &schema, col, pool, segment)?;
+                let mut writer = RunWriter::new(segment, width, rows_per_page);
+                while merge.pop(pool, segment, col, |src, r| writer.push_row(pool, src, r))? {}
                 let merged = writer.finish(pool)?;
                 ExecMetrics::add(&self.metrics.spill_merge_passes, 1);
                 ExecMetrics::add(
@@ -539,39 +555,30 @@ impl<'a> SortOp<'a> {
         let total: u64 = runs.iter().map(|r| r.rows as u64).sum();
         // The final merge's cursors stay resident until the operator
         // drops (emission is streaming).
-        self.track_reserve(runs.len() * cursor_bytes)?;
-        let merge = MergeState::new(runs, width, col, pool, segment)?;
+        self.track_reserve(cursors_bytes(&runs))?;
+        let merge = MergeState::new(runs, &schema, col, pool, segment)?;
         self.spill.as_mut().expect("spill mode").merge = Some(merge);
         Ok(total)
     }
 
     fn materialize(&mut self) -> Result<(), EngineError> {
         let Some(mut input) = self.input.take() else { return Ok(()) };
-        self.buffer = (0..self.schema.width()).map(|_| Vec::new()).collect();
-        let row_bytes = self.schema.width() * std::mem::size_of::<Entry>();
+        let row_bytes = self.schema.row_bytes();
         while let Some(batch) = input.next_batch()? {
             let bytes = batch.len() * row_bytes;
             self.maybe_flush(bytes)?;
             self.track_reserve(bytes)?;
             self.buffered_bytes += bytes;
-            for (dst, c) in self.buffer.iter_mut().enumerate() {
-                c.extend_from_slice(batch.column(dst));
-            }
+            self.buffer.append(&batch);
         }
-        let rows = self.buffer.first().map_or(0, Vec::len);
+        let rows = self.buffer.len();
         let total = if self.spill.as_ref().is_some_and(|s| !s.runs.is_empty()) {
             if rows > 0 {
                 self.flush_run()?;
             }
             self.finish_spill()?
         } else {
-            let keys = &self.buffer[self.col];
-            let mut perm: Vec<u32> = (0..rows as u32).collect();
-            perm.sort_by_key(|&r| {
-                let e = keys[r as usize];
-                (e.region.start, e.region.end)
-            });
-            self.perm = perm;
+            self.perm = self.permutation();
             rows as u64
         };
         ExecMetrics::add(&self.metrics.sort_operations, 1);
@@ -587,10 +594,12 @@ impl<'a> SortOp<'a> {
         let (pool, segment) = (ctx.pool, ctx.segment);
         let merge = ctx.merge.as_mut().expect("merge emission requires a merge");
         let mut batch = TupleBatch::with_capacity(schema, cap);
-        let mut row = Vec::new();
-        while batch.len() < cap && merge.pop_into(pool, segment, col, &mut row)? {
-            batch.push_row(&row);
-        }
+        while batch.len() < cap
+            && merge.pop(pool, segment, col, |src, r| {
+                batch.push_from(0, src, r);
+                Ok(())
+            })?
+        {}
         if batch.is_empty() {
             return Ok(None);
         }
@@ -630,11 +639,7 @@ impl Operator for SortOp<'_> {
             return Ok(None);
         }
         let end = (self.emitted + self.batch_rows).min(self.perm.len());
-        let take = &self.perm[self.emitted..end];
-        let mut batch = TupleBatch::with_capacity(self.schema.clone(), take.len());
-        for (dst, src) in (0..self.schema.width()).zip(&self.buffer) {
-            batch.extend_column(dst, take.iter().map(|&r| src[r as usize]));
-        }
+        let batch = self.buffer.gather(self.perm[self.emitted..end].iter().map(|&r| r as usize));
         self.emitted = end;
         ExecMetrics::add(&self.metrics.produced_tuples, batch.len() as u64);
         Ok(Some(batch))
@@ -647,7 +652,6 @@ mod tests {
     use crate::error::GuardBreach;
     use crate::ops::VecInput;
     use crate::tuple::Tuple;
-    use sjos_xml::{NodeId, Region};
 
     fn two_col_rows(pairs: &[(u32, u32)]) -> VecInput {
         let rows: Vec<Tuple> = pairs
@@ -677,7 +681,7 @@ mod tests {
         let mut seen = vec![];
         while let Some(b) = op.next_batch().unwrap() {
             assert!(b.is_sorted_by(op.ordered_col()));
-            seen.extend(b.column(1).iter().map(|e| e.region.start));
+            seen.extend(b.regions(1).iter().map(|r| r.start));
         }
         assert_eq!(seen, vec![10, 20, 30]);
         let s = m.snapshot();

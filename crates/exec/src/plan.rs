@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use sjos_pattern::{Axis, Pattern, PnId};
+use sjos_pattern::{Axis, NodeSet, Pattern, PnId};
 
 /// Which stack-tree variant a join uses; fixes the output order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,6 +94,48 @@ impl PlanNode {
             }
             PlanNode::Sort { input, .. } => input.bound_nodes(),
         }
+    }
+
+    /// Column liveness, computed once per plan in the style of
+    /// register liveness: for every operator in pre-order (root first,
+    /// left input before right), the pattern nodes whose columns its
+    /// output keeps *wide* — with regions — because some operator
+    /// above it still reads them. The only reader of a region is a
+    /// structural join, which tests containment on its two join
+    /// columns; a sort on a narrow column keys by node id, which
+    /// orders the same way. So a join's output drops the region of a
+    /// join column no later join reads, and the root's output is
+    /// narrow throughout.
+    ///
+    /// The executor lays its columns out by this, and planck's
+    /// certificates count the same bytes, so the two cannot drift.
+    pub fn region_liveness(&self) -> Vec<NodeSet> {
+        self.liveness_under(NodeSet::empty())
+    }
+
+    /// [`Self::region_liveness`] when the regions in `read_above` are
+    /// also read above the root (every node: each column stays wide).
+    pub(crate) fn liveness_under(&self, read_above: NodeSet) -> Vec<NodeSet> {
+        /// Fill `out` from `plan` down, where `live` holds the regions
+        /// read above `plan`; returns the nodes `plan` binds.
+        fn walk(plan: &PlanNode, live: NodeSet, out: &mut Vec<NodeSet>) -> NodeSet {
+            let slot = out.len();
+            out.push(NodeSet::empty());
+            let bound = match plan {
+                PlanNode::IndexScan { pnode } => NodeSet::singleton(*pnode),
+                PlanNode::Sort { input, .. } => walk(input, live, out),
+                PlanNode::StructuralJoin { left, right, anc, desc, .. } => {
+                    let read =
+                        live.union(NodeSet::singleton(*anc)).union(NodeSet::singleton(*desc));
+                    walk(left, read, out).union(walk(right, read, out))
+                }
+            };
+            out[slot] = live.intersect(bound);
+            bound
+        }
+        let mut out = Vec::new();
+        walk(self, read_above, &mut out);
+        out
     }
 
     /// The pattern node the output is ordered by.
@@ -414,6 +456,24 @@ mod tests {
             assert_eq!(j.contract().output_order, j.ordered_by());
             assert_eq!(algo.orders_by_ancestor(), j.ordered_by() == PnId(0));
         }
+    }
+
+    #[test]
+    fn liveness_drops_a_region_after_its_last_join() {
+        // //a/b//c as ((a ⋈ b) ⋈ c): the inner join's output keeps b
+        // (the outer join reads it) but drops a; the root is narrow.
+        let set = |ids: &[u16]| {
+            ids.iter().fold(NodeSet::empty(), |s, &i| s.union(NodeSet::singleton(PnId(i))))
+        };
+        let inner = join(scan(0), scan(1), 0, 1, Axis::Child, JoinAlgo::StackTreeAnc);
+        let sorted = PlanNode::Sort { input: Box::new(inner), by: PnId(1) };
+        let p = join(sorted, scan(2), 1, 2, Axis::Descendant, JoinAlgo::StackTreeDesc);
+        // Pre-order: root, sort, inner join, scan a, scan b, scan c.
+        assert_eq!(
+            p.region_liveness(),
+            vec![set(&[]), set(&[1]), set(&[1]), set(&[0]), set(&[1]), set(&[2])]
+        );
+        assert_eq!(scan(3).region_liveness(), vec![set(&[])], "a lone scan is the root");
     }
 
     #[test]

@@ -59,7 +59,11 @@
 //! argument) plus — for the Anc variant — every not-yet-emitted
 //! output pair, MPMGJN holds the buffered descendant window (which
 //! never shrinks). In-flight [`TupleBatch`]es add a per-operator
-//! `batch_rows`-proportional term. Batch pulls: every operator
+//! `batch_rows`-proportional term. Every row is priced at its
+//! operator's column layout — 16 B per wide entry, 4 B per narrow one —
+//! from the same [`ExecOptions::wide_columns`] the executor lays its
+//! columns out by, so a certificate shrinks exactly as much as the
+//! accounting does. Batch pulls: every operator
 //! boundary is a [`GuardedOp`], mid-stream batches carry at least
 //! `batch_rows` rows, and end-of-stream is observed at most once per
 //! boundary, so each operator is pulled at most
@@ -73,10 +77,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sjos_core::CostModel;
-use sjos_exec::{execute, EngineError, Entry, ExecOptions, JoinAlgo, PlanNode, QueryGuard};
-use sjos_pattern::{Axis, Pattern, PnId};
+use sjos_exec::tuple::row_bytes;
+use sjos_exec::{execute, EngineError, ExecOptions, JoinAlgo, PlanNode, QueryGuard};
+use sjos_pattern::{Axis, NodeSet, Pattern, PnId};
 use sjos_stats::PatternEstimates;
-use sjos_storage::XmlStore;
+use sjos_storage::{XmlStore, PAGE_SIZE};
 
 use crate::diag::{Report, Rule};
 
@@ -127,6 +132,8 @@ pub struct OperatorBounds {
     pub est_hi: u64,
     /// The cost model's point estimate for the same operator.
     pub point_estimate: f64,
+    /// Bytes of one output row in the operator's column layout.
+    pub row_bytes: u64,
     /// Worst-case bytes this operator keeps live in long-lived
     /// buffers (sort buffer, join stack, pair lists, merge window).
     pub buffer_bytes: u64,
@@ -193,14 +200,15 @@ impl ResourceBounds {
             }
             out.push_str(&format!(
                 "{{\"location\":\"{}\",\"op\":\"{}\",\"rows_lo\":{},\"rows_hi\":{},\
-                 \"est_hi\":{},\"point_estimate\":{:.1},\"buffer_bytes\":{},\"batch_bytes\":{},\
-                 \"pulls\":{}}}",
+                 \"est_hi\":{},\"point_estimate\":{:.1},\"row_bytes\":{},\"buffer_bytes\":{},\
+                 \"batch_bytes\":{},\"pulls\":{}}}",
                 op.location,
                 op.label,
                 op.rows.lo,
                 op.rows.hi,
                 op.est_hi,
                 op.point_estimate,
+                op.row_bytes,
                 op.buffer_bytes,
                 op.batch_bytes,
                 op.pulls
@@ -219,9 +227,9 @@ struct SubBounds {
     /// Upper bound on tuples sharing one value of each bound column.
     mult_hi: HashMap<PnId, u64>,
     width: usize,
+    /// Bytes of one output row in this sub-plan's column layout.
+    row_bytes: u64,
 }
-
-const ENTRY: u64 = std::mem::size_of::<Entry>() as u64;
 
 /// Derive guaranteed resource bounds for `plan` run under `opts`: at
 /// its `batch_rows` granularity and, when it carries a spill policy,
@@ -242,7 +250,8 @@ pub fn analyze_bounds(
     opts: &ExecOptions,
 ) -> ResourceBounds {
     let mut operators = Vec::new();
-    walk(pattern, estimates, model, plan, "root", opts, &mut operators);
+    let wide = opts.wide_columns(plan);
+    walk(pattern, estimates, model, plan, "root", opts, &wide, &mut operators);
     let peak_bytes = operators
         .iter()
         .fold(0u64, |acc, o| acc.saturating_add(o.buffer_bytes).saturating_add(o.batch_bytes));
@@ -250,6 +259,9 @@ pub fn analyze_bounds(
     ResourceBounds { operators, peak_bytes, batch_pulls, batch_rows: opts.batch_rows.max(1) }
 }
 
+/// `wide` holds every operator's wide columns in pre-order, indexed by
+/// the operator's slot in `out`.
+#[allow(clippy::too_many_arguments)]
 fn walk(
     pattern: &Pattern,
     estimates: &PatternEstimates,
@@ -257,17 +269,22 @@ fn walk(
     plan: &PlanNode,
     path: &str,
     opts: &ExecOptions,
+    wide: &[NodeSet],
     out: &mut Vec<OperatorBounds>,
 ) -> SubBounds {
     let batch_rows = opts.batch_rows.max(1) as u64;
     // Reserve this operator's pre-order slot before recursing.
     let slot = out.len();
+    // Bytes of one output row of `width` columns in this operator's
+    // layout (its wide columns are among the ones it binds).
+    let out_row_bytes = |width: usize| row_bytes(width, wide[slot].len()) as u64;
     out.push(OperatorBounds {
         location: path.to_string(),
         label: String::new(),
         rows: CardInterval { lo: 0, hi: 0 },
         est_hi: 0,
         point_estimate: 0.0,
+        row_bytes: 0,
         buffer_bytes: 0,
         batch_bytes: 0,
         pulls: 0,
@@ -276,7 +293,7 @@ fn walk(
         let (_, card) = model.plan_cost(plan, pattern, estimates);
         (card, ())
     };
-    let (label, sub, buffer_bytes, extra_out_rows, child_widths) = match plan {
+    let (label, sub, buffer_bytes, extra_out_rows, child_row_bytes) = match plan {
         PlanNode::IndexScan { pnode } => {
             let (lo, hi) = estimates.node_bounds(*pnode);
             let sub = SubBounds {
@@ -284,34 +301,41 @@ fn walk(
                 est_hi: hi,
                 mult_hi: HashMap::from([(*pnode, 1u64)]),
                 width: 1,
+                row_bytes: out_row_bytes(1),
             };
             (format!("Scan {}#{}", pattern.node(*pnode).tag, pnode.0), sub, 0u64, 0u64, vec![])
         }
         PlanNode::Sort { input, by } => {
-            let inner = walk(pattern, estimates, model, input, &format!("{path}.in"), opts, out);
+            let inner =
+                walk(pattern, estimates, model, input, &format!("{path}.in"), opts, wide, out);
             // The sort materializes its whole input — unless it may
             // spill, in which case at most the policy's resident
             // bound stays in memory at once and the rest lives in
-            // temp pages.
-            let full = inner.rows.hi.saturating_mul(inner.width as u64).saturating_mul(ENTRY);
+            // temp pages. A spilling sort never holds more than its
+            // input's bytes plus the run writer's page (its merge
+            // cursors hold at most the rows of their runs), so a small
+            // input keeps that tighter bound.
+            let full = inner.rows.hi.saturating_mul(inner.row_bytes);
             let buffer = match opts.spill {
-                Some(policy) => {
-                    full.min(policy.resident_bound(inner.width, opts.batch_rows.max(1)) as u64)
-                }
+                Some(policy) => full
+                    .saturating_add(PAGE_SIZE as u64)
+                    .min(policy.resident_bound(inner.width, opts.batch_rows.max(1)) as u64),
                 None => full,
             };
-            let width = inner.width;
+            let input_bytes = inner.row_bytes;
             let sub = SubBounds {
                 rows: inner.rows,
                 est_hi: inner.est_hi,
                 mult_hi: inner.mult_hi,
                 width: inner.width,
+                row_bytes: out_row_bytes(inner.width),
             };
-            (format!("Sort by #{}", by.0), sub, buffer, 0u64, vec![width])
+            (format!("Sort by #{}", by.0), sub, buffer, 0u64, vec![input_bytes])
         }
         PlanNode::StructuralJoin { left, right, anc, desc, axis, algo } => {
-            let l = walk(pattern, estimates, model, left, &format!("{path}.left"), opts, out);
-            let r = walk(pattern, estimates, model, right, &format!("{path}.right"), opts, out);
+            let l = walk(pattern, estimates, model, left, &format!("{path}.left"), opts, wide, out);
+            let r =
+                walk(pattern, estimates, model, right, &format!("{path}.right"), opts, wide, out);
 
             // Structural key inequality: one descendant element has at
             // most `depth_levels(anc)` ancestors with the anc tag
@@ -343,25 +367,32 @@ fn walk(
             let nest_levels = estimates.node_depth_levels(*anc).max(1);
             let stack_rows = l.rows.hi.min(nest_levels.saturating_mul(l_mult_anc));
             let width = l.width + r.width;
-            let stack_bytes = stack_rows.saturating_mul(l.width as u64).saturating_mul(ENTRY);
+            let pair_bytes = out_row_bytes(width);
+            // The stack keeps left rows in the left input's layout.
+            let stack_bytes = stack_rows.saturating_mul(l.row_bytes);
             let buffer = match algo {
                 // Anc additionally parks every not-yet-emitted output
-                // pair (full output width).
-                JoinAlgo::StackTreeAnc => stack_bytes
-                    .saturating_add(rows_hi.saturating_mul(width as u64).saturating_mul(ENTRY)),
+                // pair (in the output layout).
+                JoinAlgo::StackTreeAnc => {
+                    stack_bytes.saturating_add(rows_hi.saturating_mul(pair_bytes))
+                }
                 JoinAlgo::StackTreeDesc => stack_bytes,
                 // MPMGJN buffers the descendant window, which never
                 // shrinks over the operator's lifetime.
-                JoinAlgo::MergeJoin => {
-                    r.rows.hi.saturating_mul(r.width as u64).saturating_mul(ENTRY)
-                }
+                JoinAlgo::MergeJoin => r.rows.hi.saturating_mul(r.row_bytes),
             };
             let label = match algo {
                 JoinAlgo::StackTreeAnc => "STJ-A",
                 JoinAlgo::StackTreeDesc => "STJ-D",
                 JoinAlgo::MergeJoin => "MPMGJN",
             };
-            let sub = SubBounds { rows, est_hi: l.est_hi.saturating_mul(r.est_hi), mult_hi, width };
+            let sub = SubBounds {
+                rows,
+                est_hi: l.est_hi.saturating_mul(r.est_hi),
+                mult_hi,
+                width,
+                row_bytes: pair_bytes,
+            };
             // A stack-tree batch may overshoot `batch_rows` by the
             // stack depth (one descendant's matches leave together).
             let overshoot = match algo {
@@ -378,7 +409,7 @@ fn walk(
                 sub,
                 buffer,
                 overshoot,
-                vec![l.width, r.width],
+                vec![l.row_bytes, r.row_bytes],
             )
         }
     };
@@ -386,10 +417,9 @@ fn walk(
     // In-flight batches: this operator's output batch under
     // construction plus one cached input batch per child cursor.
     let out_batch_rows = batch_rows.saturating_add(extra_out_rows);
-    let mut batch_bytes = out_batch_rows.saturating_mul(sub.width as u64).saturating_mul(ENTRY);
-    for w in child_widths {
-        batch_bytes =
-            batch_bytes.saturating_add(batch_rows.saturating_mul(w as u64).saturating_mul(ENTRY));
+    let mut batch_bytes = out_batch_rows.saturating_mul(sub.row_bytes);
+    for bytes in child_row_bytes {
+        batch_bytes = batch_bytes.saturating_add(batch_rows.saturating_mul(bytes));
     }
 
     // Pull bound: mid-stream batches carry ≥ batch_rows rows and the
@@ -402,6 +432,7 @@ fn walk(
         rows: sub.rows,
         est_hi: sub.est_hi,
         point_estimate,
+        row_bytes: sub.row_bytes,
         buffer_bytes,
         batch_bytes,
         pulls,
@@ -671,6 +702,7 @@ pub fn lint_resources(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sjos_exec::tuple::{NARROW_BYTES, WIDE_BYTES};
     use sjos_exec::{SpillPolicy, BATCH_ROWS};
     use sjos_pattern::parse_pattern;
     use sjos_stats::Catalog;
@@ -786,7 +818,74 @@ mod tests {
         let plan = PlanNode::Sort { input: Box::new(inner), by: PnId(1) };
         let b = analyze_bounds(&pattern, &est, &model, &plan, &at(BATCH_ROWS));
         let sort = &b.operators[0];
-        assert_eq!(sort.buffer_bytes, 3 * 2 * ENTRY, "3 rows × 2 cols");
+        // Nothing above the root reads a region, so both columns are
+        // narrow.
+        assert_eq!(sort.buffer_bytes, 3 * 2 * NARROW_BYTES as u64, "3 rows × 2 narrow cols");
+        let wide = analyze_bounds(
+            &pattern,
+            &est,
+            &model,
+            &plan,
+            &ExecOptions { narrow: false, ..at(BATCH_ROWS) },
+        );
+        assert_eq!(wide.operators[0].buffer_bytes, 3 * 2 * WIDE_BYTES as u64, "3 rows × 2 cols");
+    }
+
+    /// Q.Pers.3.d, the paper's Fig. 1 pattern: manager#0 //
+    /// employee#1 / name#2, and manager#0 // manager#3 / department#4
+    /// / name#5.
+    const PERS_3D: &str = "//manager[.//employee/name][.//manager/department/name]";
+
+    const PERS_XML: &str = "<company><manager>\
+        <employee><name>a</name></employee>\
+        <manager><department><name>d</name></department><employee><name>b</name></employee>\
+        </manager></manager></company>";
+
+    #[test]
+    fn certificates_price_each_column_at_its_liveness_width() {
+        use sjos_core::{optimize, Algorithm};
+        let (store, pattern, est, model) = setup(PERS_XML, PERS_3D);
+        // A hand-built pipeline: (((manager ⋈ (employee ⋈ name)) ⋈
+        // manager) ⋈ department) ⋈ name.
+        let inner = join(scan(1), scan(2), 1, 2, Axis::Child, JoinAlgo::StackTreeAnc);
+        let b = join(scan(0), inner, 0, 1, Axis::Descendant, JoinAlgo::StackTreeAnc);
+        let c = join(b, scan(3), 0, 3, Axis::Descendant, JoinAlgo::StackTreeDesc);
+        let d = join(c, scan(4), 3, 4, Axis::Child, JoinAlgo::StackTreeDesc);
+        let plan = join(d, scan(5), 4, 5, Axis::Child, JoinAlgo::StackTreeDesc);
+        plan.validate(&pattern).unwrap();
+        let opts = at(BATCH_ROWS);
+        let bounds = analyze_bounds(&pattern, &est, &model, &plan, &opts);
+        let bytes: Vec<u64> = bounds.operators.iter().map(|o| o.row_bytes).collect();
+        let (w, n) = (WIDE_BYTES as u64, NARROW_BYTES as u64);
+        // Pre-order: root, d, c, b, scan 0, inner, scan 1, scan 2, then
+        // scans 3, 4, 5. The mid-plan join c drops manager#0's region
+        // (it was its last reader) but keeps manager#3 wide for d; the
+        // root is 6 narrow columns.
+        assert_eq!(bounds.operators[0].location, "root");
+        assert_eq!(
+            bytes,
+            vec![6 * n, w + 4 * n, w + 3 * n, w + 2 * n, w, w + n, w, w, w, w, w],
+            "{}",
+            bounds.to_json()
+        );
+        let wide = analyze_bounds(
+            &pattern,
+            &est,
+            &model,
+            &plan,
+            &ExecOptions { narrow: false, ..opts.clone() },
+        );
+        assert_eq!(wide.operators[0].row_bytes, 6 * w);
+        assert!(bounds.peak_bytes < wide.peak_bytes);
+        let replay = lint_bound_soundness(&store, &pattern, &bounds, &plan, &opts).unwrap();
+        assert!(replay.is_clean(), "{replay}");
+        // Whatever the optimizer picks, the certified root row is
+        // 6 × 4 B.
+        for alg in [Algorithm::Dpp { lookahead: true }, Algorithm::Fp] {
+            let plan = optimize(&pattern, &est, &model, alg).unwrap().plan;
+            let bounds = analyze_bounds(&pattern, &est, &model, &plan, &opts);
+            assert_eq!(bounds.operators[0].row_bytes, 6 * n, "{alg:?}");
+        }
     }
 
     #[test]
@@ -826,7 +925,7 @@ mod tests {
 
     #[test]
     fn spill_caps_the_sort_buffer_at_the_resident_bound() {
-        let (_, pattern, est, model) = setup(&wide_xml(3_000), "//dept//emp");
+        let (_, pattern, est, model) = setup(&wide_xml(12_000), "//dept//emp");
         let plan = wide_sort_plan();
         let policy = SpillPolicy::with_threshold(0);
         let full = analyze_bounds(&pattern, &est, &model, &plan, &at(3));
@@ -855,7 +954,7 @@ mod tests {
 
     #[test]
     fn admit_follows_the_options() {
-        let (_, pattern, est, model) = setup(&wide_xml(3_000), "//dept//emp");
+        let (_, pattern, est, model) = setup(&wide_xml(12_000), "//dept//emp");
         let plan = wide_sort_plan();
         let serial = at(3);
         let two = ExecOptions { threads: 2, ..serial.clone() };

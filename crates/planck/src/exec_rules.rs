@@ -263,8 +263,10 @@ pub fn lint_batches(result: &QueryResult, plan: &PlanNode) -> Report {
         return report;
     };
 
+    // A wide column orders by `(start, end)`, a narrow one by node id
+    // (the same order: elements are numbered in document order).
     let mut rows: u64 = 0;
-    let mut prev_last: Option<(u32, u32)> = None;
+    let mut prev_last: Option<u64> = None;
     for (i, batch) in result.tuples.batches().iter().enumerate() {
         if batch.is_empty() {
             report.push(
@@ -281,22 +283,20 @@ pub fn lint_batches(result: &QueryResult, plan: &PlanNode) -> Report {
                 format!("batch not sorted by claimed ordering column {col} ({ordering:?})"),
             );
         }
-        let first = batch.entry(col, 0).region;
+        let first = batch.order_key(col, 0);
         if let Some(last) = prev_last {
-            if (first.start, first.end) < last {
+            if first < last {
                 report.push(
                     Rule::BatchContract,
                     format!("root.batch[{i}]"),
                     format!(
-                        "ordering regresses across batches: starts at {:?} after previous \
-                         batch ended at {last:?}",
-                        (first.start, first.end)
+                        "ordering regresses across batches: starts at order key {first:#x} \
+                         after previous batch ended at {last:#x}"
                     ),
                 );
             }
         }
-        let end = batch.entry(col, batch.len() - 1).region;
-        prev_last = Some((end.start, end.end));
+        prev_last = Some(batch.order_key(col, batch.len() - 1));
         rows += batch.len() as u64;
     }
 
@@ -449,11 +449,7 @@ mod tests {
         let mut unsorted =
             execute(&store, &pattern, &plan, &ExecOptions::default()).unwrap().result;
         let mut batches = std::mem::take(&mut unsorted.tuples).into_batches();
-        let rows: Vec<_> = (0..batches[0].len()).rev().map(|r| batches[0].row(r)).collect();
-        batches[0] = sjos_exec::TupleBatch::from_rows(
-            std::sync::Arc::clone(batches[0].schema()),
-            rows.iter().map(std::vec::Vec::as_slice),
-        );
+        batches[0] = batches[0].gather((0..batches[0].len()).rev());
         unsorted.tuples = Rows::from_batches(batches);
         let report = lint_batches(&unsorted, &plan);
         assert!(report.violates(Rule::BatchContract), "{}", report.render());

@@ -313,7 +313,7 @@ fn run_query(session: &Session, query: &str, mode: Mode) {
                             let tag = doc.tag_name(node.tag);
                             let text = node.text.trim();
                             if text.is_empty() {
-                                format!("{tag}@{}", node.region.start)
+                                format!("{tag}@{}", doc.region(id).start)
                             } else {
                                 format!("{tag}={text}")
                             }

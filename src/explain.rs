@@ -7,13 +7,16 @@ use sjos_pattern::{Axis, NodeSet, Pattern};
 use sjos_stats::PatternEstimates;
 
 /// Render `plan` as an indented tree, annotating every operator with
-/// the estimated output cardinality and cost contribution under
-/// `model`, e.g.:
+/// the estimated output cardinality, its cost contribution under
+/// `model`, its output order, and its *wide* columns — those whose
+/// regions its output still carries because a later join reads them
+/// ([`PlanNode::region_liveness`]; `-` when none), so it shows where
+/// each region is dropped. For example:
 ///
 /// ```text
-/// STJ-D manager//employee            ~9037 rows  ordered by employee
-/// ├─ Scan manager                     ~750 rows
-/// └─ Scan employee                   ~1125 rows
+/// STJ-Desc manager#0//employee#1    ~9037 rows  cost 21700  ordered by employee#1  wide: -
+/// ├─ Scan manager#0                  ~750 rows  cost 750  ordered by manager#0  wide: manager#0
+/// └─ Scan employee#1                ~1125 rows  cost 1125  ordered by employee#1  wide: employee#1
 /// ```
 pub fn explain(
     plan: &PlanNode,
@@ -22,7 +25,8 @@ pub fn explain(
     model: &CostModel,
 ) -> String {
     let mut out = String::new();
-    render(plan, pattern, estimates, model, "", "", &mut out);
+    let wide = plan.region_liveness();
+    render(plan, pattern, estimates, model, &mut wide.iter(), "", "", &mut out);
     out
 }
 
@@ -30,11 +34,13 @@ fn node_label(pattern: &Pattern, id: sjos_pattern::PnId) -> String {
     format!("{}#{}", pattern.node(id).tag, id.0)
 }
 
+#[allow(clippy::too_many_arguments)]
 fn render(
     plan: &PlanNode,
     pattern: &Pattern,
     estimates: &PatternEstimates,
     model: &CostModel,
+    wide: &mut std::slice::Iter<'_, NodeSet>,
     prefix: &str,
     child_prefix: &str,
     out: &mut String,
@@ -65,8 +71,15 @@ fn render(
         }
     };
     let ordered = node_label(pattern, plan.ordered_by());
+    let kept = *wide.next().expect("one liveness set per operator");
+    let wide_cols = if kept.is_empty() {
+        "-".to_string()
+    } else {
+        kept.iter().map(|id| node_label(pattern, id)).collect::<Vec<_>>().join(" ")
+    };
     out.push_str(&format!(
-        "{prefix}{line:<40} ~{rows:.0} rows  cost {cost:.0}  ordered by {ordered}\n"
+        "{prefix}{line:<40} ~{rows:.0} rows  cost {cost:.0}  ordered by {ordered}  wide: \
+         {wide_cols}\n"
     ));
     let children: Vec<&PlanNode> = match plan {
         PlanNode::IndexScan { .. } => vec![],
@@ -81,7 +94,7 @@ fn render(
         } else {
             (format!("{child_prefix}├─ "), format!("{child_prefix}│  "))
         };
-        render(child, pattern, estimates, model, &head, &tail, out);
+        render(child, pattern, estimates, model, wide, &head, &tail, out);
     }
 }
 
@@ -154,6 +167,39 @@ mod tests {
         assert!(text.contains("STJ-"), "{text}");
         assert!(text.contains("rows"), "{text}");
         assert!(text.contains("dept#0"), "{text}");
+    }
+
+    #[test]
+    fn explain_marks_where_each_region_is_dropped() {
+        // Q.Pers.3.d, the paper's Fig. 1 pattern.
+        let db = Database::from_xml(
+            "<company><manager><employee><name>a</name></employee>\
+             <manager><department><name>d</name></department></manager></manager></company>",
+        )
+        .unwrap();
+        let pattern =
+            crate::parse_pattern("//manager[.//employee/name][.//manager/department/name]")
+                .unwrap();
+        let est = db.estimates(&pattern);
+        for alg in [Algorithm::Dpp { lookahead: true }, Algorithm::Fp] {
+            let plan = db.optimize(&pattern, alg).unwrap().plan;
+            let text = explain(&plan, &pattern, &est, db.cost_model());
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(text.matches("Scan ").count(), 6, "{text}");
+            assert_eq!(text.matches("STJ-").count(), 5, "{text}");
+            assert!(lines[0].ends_with("wide: -"), "the root drops every region:\n{text}");
+            // Every scan feeds a join, which reads its region.
+            for line in lines.iter().filter(|l| l.contains("Scan ")) {
+                let label = line.split("Scan ").nth(1).unwrap().split_whitespace().next().unwrap();
+                assert!(line.ends_with(&format!("wide: {label}")), "{line}\n{text}");
+            }
+            // Below the root, a join still carries the regions a later
+            // join reads.
+            assert!(
+                lines[1..].iter().any(|l| l.contains("STJ") && !l.ends_with("wide: -")),
+                "{text}"
+            );
+        }
     }
 
     #[test]

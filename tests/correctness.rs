@@ -105,7 +105,8 @@ fn order_by_plans_deliver_sorted_output() {
             let result = db.execute(&pattern, &optimized.plan, &ExecOptions::default()).unwrap();
             let col =
                 result.schema.position(sjos::pattern::PnId(target)).expect("order-by column bound");
-            let starts: Vec<u32> = result.tuples.iter().map(|t| t[col].region.start).collect();
+            let starts: Vec<u32> =
+                result.tuples.iter().map(|t| db.document().region(t[col].node).start).collect();
             assert!(
                 starts.windows(2).all(|w| w[0] <= w[1]),
                 "{} output not ordered by node {target}",

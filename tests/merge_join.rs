@@ -53,7 +53,8 @@ fn merge_join_output_is_ancestor_ordered() {
     assert_eq!(plan.ordered_by(), PnId(0));
     let res = db.execute(&pattern, &plan, &ExecOptions::default()).unwrap();
     let col = res.schema.position(PnId(0)).unwrap();
-    let starts: Vec<u32> = res.tuples.iter().map(|t| t[col].region.start).collect();
+    let starts: Vec<u32> =
+        res.tuples.iter().map(|t| db.document().region(t[col].node).start).collect();
     assert!(starts.windows(2).all(|w| w[0] <= w[1]));
 }
 

@@ -8,10 +8,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sjos::core::random_plan;
+use sjos::datagen::fold_document;
 use sjos::{Algorithm, Database, ExecOptions, PlanNode};
 use sjos_exec::{naive, JoinAlgo, MetricsSnapshot, QueryResult, BATCH_ROWS};
 use sjos_pattern::{Axis, Pattern, PnId};
-use sjos_xml::{Document, DocumentBuilder};
+use sjos_xml::{Document, DocumentBuilder, NodeId};
 
 const TAGS: &[&str] = &["t0", "t1", "t2", "t3"];
 
@@ -205,19 +206,25 @@ proptest! {
     }
 
     #[test]
-    fn region_encoding_invariants(tree in tree_strategy()) {
+    fn region_encoding_invariants(tree in tree_strategy(), k in 1usize..4) {
+        // Intervals nest or are disjoint; arena order == start order,
+        // so `NodeId` order is `(start, end)` order — what the order
+        // checks on narrow (region-less) columns rely on. Folded
+        // corpora (the benchmark's Pers ×10) must keep it too.
         let doc = build_doc(&tree);
-        // Intervals nest or are disjoint; arena order == start order.
-        let nodes = doc.nodes();
-        for (i, a) in nodes.iter().enumerate() {
-            prop_assert!(a.region.start < a.region.end);
-            if i + 1 < nodes.len() {
-                prop_assert!(a.region.start < nodes[i + 1].region.start);
-            }
-            for b in nodes.iter().skip(i + 1) {
-                let nested = a.region.contains(b.region);
-                let disjoint = a.region.precedes(b.region) || b.region.precedes(a.region);
-                prop_assert!(nested ^ disjoint, "intervals must nest xor be disjoint");
+        for doc in [fold_document(&doc, k), doc] {
+            let nodes = doc.nodes();
+            for (i, a) in nodes.iter().enumerate() {
+                prop_assert_eq!(doc.region(NodeId(i as u32)), a.region);
+                prop_assert!(a.region.start < a.region.end);
+                if i + 1 < nodes.len() {
+                    prop_assert!(a.region.start < nodes[i + 1].region.start);
+                }
+                for b in nodes.iter().skip(i + 1) {
+                    let nested = a.region.contains(b.region);
+                    let disjoint = a.region.precedes(b.region) || b.region.precedes(a.region);
+                    prop_assert!(nested ^ disjoint, "intervals must nest xor be disjoint");
+                }
             }
         }
     }
@@ -240,7 +247,7 @@ proptest! {
         let doc = build_doc(&tree);
         let pattern = sjos::parse_pattern(&format!("//root//{}", TAGS[0])).unwrap();
         let base = naive::evaluate(&doc, &pattern).len();
-        let folded = sjos::datagen::fold_document(&doc, k);
+        let folded = fold_document(&doc, k);
         let scaled = naive::evaluate(&folded, &pattern).len();
         prop_assert_eq!(scaled, base * k);
     }

@@ -198,7 +198,7 @@ fn spill_with_two_threads_runs_as_one_morsel() {
 /// less eagerly and must stay within its own policy's certificate.
 #[test]
 fn starved_guard_query_completes_bit_identically_via_spill() {
-    let db = Database::from_document(wide_doc(20_000));
+    let db = Database::from_document(wide_doc(80_000));
     let pattern = sjos::parse_pattern("//db//emp").unwrap();
     let plan = wide_sort_plan();
 

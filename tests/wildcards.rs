@@ -64,7 +64,8 @@ fn order_by_clause_orders_execution_output() {
         for alg in [Algorithm::Dpp { lookahead: true }, Algorithm::Fp] {
             let out = db.query_with(q, alg).unwrap();
             let col = out.result.schema.position(sjos::pattern::PnId(col_pn as u16)).unwrap();
-            let starts: Vec<u32> = out.result.tuples.iter().map(|t| t[col].region.start).collect();
+            let starts: Vec<u32> =
+                out.result.tuples.iter().map(|t| db.document().region(t[col].node).start).collect();
             assert!(starts.windows(2).all(|w| w[0] <= w[1]), "{q} via {} not ordered", alg.name());
         }
     }
