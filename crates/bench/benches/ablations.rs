@@ -30,7 +30,9 @@ fn bench_lookahead(c: &mut Criterion) {
         group.bench_function(label, |b| {
             b.iter(|| {
                 let mut ctx = SearchContext::new(&pattern, &est, &model);
-                optimize_dpp(&mut ctx, DppConfig { lookahead, ..DppConfig::default() }).unwrap().1
+                optimize_dpp(&mut ctx, DppConfig { lookahead, ..DppConfig::default() }, None)
+                    .unwrap()
+                    .1
             });
         });
     }
@@ -45,7 +47,9 @@ fn bench_ub_cost(c: &mut Criterion) {
         group.bench_function(label, |b| {
             b.iter(|| {
                 let mut ctx = SearchContext::new(&pattern, &est, &model);
-                optimize_dpp(&mut ctx, DppConfig { use_ub_cost, ..DppConfig::default() }).unwrap().1
+                optimize_dpp(&mut ctx, DppConfig { use_ub_cost, ..DppConfig::default() }, None)
+                    .unwrap()
+                    .1
             });
         });
     }
@@ -61,7 +65,7 @@ fn bench_cost_model_variant(c: &mut Criterion) {
         group.bench_function(label, |b| {
             b.iter(|| {
                 let mut ctx = SearchContext::new(&pattern, &est, &model);
-                optimize_dpp(&mut ctx, DppConfig::default()).unwrap().1
+                optimize_dpp(&mut ctx, DppConfig::default(), None).unwrap().1
             });
         });
     }

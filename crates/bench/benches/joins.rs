@@ -84,13 +84,7 @@ fn bench_full_query(c: &mut Criterion) {
     let model = sjos_core::CostModel::default();
     let good =
         sjos_core::optimize(&pattern, &est, &model, Algorithm::Dpp { lookahead: true }).unwrap();
-    let bad = sjos_core::optimize(
-        &pattern,
-        &est,
-        &model,
-        Algorithm::WorstRandom { samples: 64, seed: 2003 },
-    )
-    .unwrap();
+    let bad = sjos_core::optimize(&pattern, &est, &model, Algorithm::BAD_PLAN).unwrap();
     let mut group = c.benchmark_group("q_pers_3d_execution");
     group.sample_size(10);
     group.bench_function("optimal_plan", |b| {

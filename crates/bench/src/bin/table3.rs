@@ -39,7 +39,7 @@ fn main() -> ExitCode {
         Algorithm::DpapEb { te: 0 },
         Algorithm::DpapLd,
         Algorithm::Fp,
-        Algorithm::WorstRandom { samples: 64, seed: 2003 },
+        Algorithm::BAD_PLAN,
     ];
 
     let mut widths = vec![12usize];

@@ -211,7 +211,7 @@ pub fn table1_algorithms() -> Vec<Algorithm> {
         Algorithm::DpapEb { te: 0 }, // placeholder; per-query Te = edge count
         Algorithm::DpapLd,
         Algorithm::Fp,
-        Algorithm::WorstRandom { samples: 64, seed: 2003 },
+        Algorithm::BAD_PLAN,
     ]
 }
 

@@ -206,7 +206,7 @@ mod tests {
         for pat in ["//a/b/c", "//a[./b/c][./d]"] {
             let (pattern, est, model) = parts(pat);
             let mut dpp_ctx = SearchContext::new(&pattern, &est, &model);
-            let (_, opt) = optimize_dpp(&mut dpp_ctx, DppConfig::default()).unwrap();
+            let (_, opt) = optimize_dpp(&mut dpp_ctx, DppConfig::default(), None).unwrap();
             let mut fp_ctx = SearchContext::new(&pattern, &est, &model);
             let (_, fp_cost) = optimize_fp(&mut fp_ctx).unwrap();
             assert!(fp_cost >= opt - 1e-6, "{pat}: fp {fp_cost} < opt {opt}");
@@ -220,7 +220,7 @@ mod tests {
         // optimum when that optimum happens to be pipelined.
         let (pattern, est, model) = parts("//a/b/c");
         let mut dpp_ctx = SearchContext::new(&pattern, &est, &model);
-        let (opt_plan, opt_cost) = optimize_dpp(&mut dpp_ctx, DppConfig::default()).unwrap();
+        let (opt_plan, opt_cost) = optimize_dpp(&mut dpp_ctx, DppConfig::default(), None).unwrap();
         if opt_plan.is_fully_pipelined() {
             let mut fp_ctx = SearchContext::new(&pattern, &est, &model);
             let (_, fp_cost) = optimize_fp(&mut fp_ctx).unwrap();
@@ -234,7 +234,7 @@ mod tests {
         let mut fp_ctx = SearchContext::new(&pattern, &est, &model);
         optimize_fp(&mut fp_ctx).unwrap();
         let mut dpp_ctx = SearchContext::new(&pattern, &est, &model);
-        optimize_dpp(&mut dpp_ctx, DppConfig::default()).unwrap();
+        optimize_dpp(&mut dpp_ctx, DppConfig::default(), None).unwrap();
         assert!(
             fp_ctx.plans_considered < dpp_ctx.plans_considered,
             "FP {} !< DPP {}",

@@ -51,9 +51,7 @@ pub mod trace;
 pub use calibrate::{calibrate, CalibrationReport};
 pub use cost::{CostFactors, CostModel, DescCostVariant};
 pub use error::OptimizerError;
-pub use optimizer::{optimize, Algorithm, OptimizedPlan, OptimizerStats};
-pub use random::{
-    mutate_plan, random_plan, random_plan_with, worst_random_plan, PlanMutation, RandomPlanConfig,
-};
+pub use optimizer::{optimize, optimize_traced, Algorithm, OptimizedPlan, OptimizerStats};
+pub use random::{mutate_plan, random_plan, worst_random_plan, PlanMutation};
 pub use status::{check_key, check_status, Cluster, Status, StatusKey, StatusViolation};
-pub use trace::{SearchTrace, TraceEvent, TraceParseError};
+pub use trace::{SearchTrace, TraceEvent};

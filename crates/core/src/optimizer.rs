@@ -1,5 +1,6 @@
 //! Unified optimizer entry point.
 
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use sjos_exec::PlanNode;
@@ -13,6 +14,7 @@ use crate::error::OptimizerError;
 use crate::fp::optimize_fp;
 use crate::random::worst_random_plan;
 use crate::status::SearchContext;
+use crate::trace::SearchTrace;
 
 /// The structural join order selection algorithms of the paper, plus
 /// the random "bad plan" baseline from its evaluation.
@@ -46,6 +48,12 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
+    /// Table 1's "bad plan": the worst of 64 random plans at seed 2003.
+    pub const BAD_PLAN: Algorithm = Algorithm::WorstRandom { samples: 64, seed: 2003 };
+
+    /// Every spelling [`Algorithm::from_str`] accepts, for usage text.
+    pub const SPELLINGS: &'static str = "dp|dpp|dpp-nl|dpap-eb:<te>|dpap-ld|fp|random:<seed>|bad";
+
     /// The paper's name for the algorithm.
     pub fn name(&self) -> &'static str {
         match self {
@@ -57,6 +65,37 @@ impl Algorithm {
             Algorithm::Fp => "FP",
             Algorithm::WorstRandom { .. } => "bad plan",
         }
+    }
+}
+
+impl FromStr for Algorithm {
+    type Err = String;
+
+    /// Parse one of [`Algorithm::SPELLINGS`]: `dpp-nl` is DPP′,
+    /// `random:<seed>` is one seeded random plan, and `bad` is
+    /// [`Algorithm::BAD_PLAN`].
+    fn from_str(name: &str) -> Result<Algorithm, String> {
+        Ok(match name {
+            "dp" => Algorithm::Dp,
+            "dpp" => Algorithm::Dpp { lookahead: true },
+            "dpp-nl" => Algorithm::Dpp { lookahead: false },
+            "dpap-ld" => Algorithm::DpapLd,
+            "fp" => Algorithm::Fp,
+            "bad" => Algorithm::BAD_PLAN,
+            other => {
+                if let Some(te) = other.strip_prefix("dpap-eb:") {
+                    Algorithm::DpapEb { te: te.parse().map_err(|_| format!("bad T_e in {other}"))? }
+                } else if let Some(seed) = other.strip_prefix("random:") {
+                    let seed = seed.parse().map_err(|_| format!("bad seed in {other}"))?;
+                    Algorithm::WorstRandom { samples: 1, seed }
+                } else {
+                    return Err(format!(
+                        "unknown algorithm {other} (expected {})",
+                        Self::SPELLINGS
+                    ));
+                }
+            }
+        })
     }
 }
 
@@ -104,19 +143,40 @@ pub fn optimize(
     model: &CostModel,
     algorithm: Algorithm,
 ) -> Result<OptimizedPlan, OptimizerError> {
+    optimize_traced(pattern, estimates, model, algorithm, None)
+}
+
+/// [`optimize`], recording the search into `trace` when one is given.
+/// DP, DPP, DPP′, DPAP-EB and DPAP-LD record every status decision
+/// (see [`crate::trace`]); FP and `WorstRandom` perform no status
+/// search and leave the trace untouched.
+///
+/// # Errors
+/// Same as [`optimize`].
+pub fn optimize_traced(
+    pattern: &Pattern,
+    estimates: &PatternEstimates,
+    model: &CostModel,
+    algorithm: Algorithm,
+    trace: Option<&mut SearchTrace>,
+) -> Result<OptimizedPlan, OptimizerError> {
     let started = Instant::now();
     let mut ctx = SearchContext::new(pattern, estimates, model);
     let (plan, estimated_cost) = match algorithm {
-        Algorithm::Dp => optimize_dp(&mut ctx)?,
+        Algorithm::Dp => optimize_dp(&mut ctx, trace)?,
         Algorithm::Dpp { lookahead } => {
-            optimize_dpp(&mut ctx, DppConfig { lookahead, ..DppConfig::default() })?
+            optimize_dpp(&mut ctx, DppConfig { lookahead, ..DppConfig::default() }, trace)?
         }
-        Algorithm::DpapEb { te } => {
-            optimize_dpp(&mut ctx, DppConfig { expansion_bound: Some(te), ..DppConfig::default() })?
-        }
-        Algorithm::DpapLd => {
-            optimize_dpp(&mut ctx, DppConfig { left_deep_only: true, ..DppConfig::default() })?
-        }
+        Algorithm::DpapEb { te } => optimize_dpp(
+            &mut ctx,
+            DppConfig { expansion_bound: Some(te), ..DppConfig::default() },
+            trace,
+        )?,
+        Algorithm::DpapLd => optimize_dpp(
+            &mut ctx,
+            DppConfig { left_deep_only: true, ..DppConfig::default() },
+            trace,
+        )?,
         Algorithm::Fp => optimize_fp(&mut ctx)?,
         Algorithm::WorstRandom { samples, seed } => {
             if samples == 0 {
@@ -246,5 +306,26 @@ mod tests {
         assert_eq!(Algorithm::DpapEb { te: 1 }.name(), "DPAP-EB");
         assert_eq!(Algorithm::DpapLd.name(), "DPAP-LD");
         assert_eq!(Algorithm::Fp.name(), "FP");
+    }
+
+    #[test]
+    fn every_spelling_parses_to_its_variant() {
+        let table = [
+            ("dp", Algorithm::Dp),
+            ("dpp", Algorithm::Dpp { lookahead: true }),
+            ("dpp-nl", Algorithm::Dpp { lookahead: false }),
+            ("dpap-eb:3", Algorithm::DpapEb { te: 3 }),
+            ("dpap-ld", Algorithm::DpapLd),
+            ("fp", Algorithm::Fp),
+            ("random:7", Algorithm::WorstRandom { samples: 1, seed: 7 }),
+            ("bad", Algorithm::WorstRandom { samples: 64, seed: 2003 }),
+        ];
+        for (spelling, algorithm) in table {
+            assert_eq!(spelling.parse::<Algorithm>(), Ok(algorithm), "{spelling}");
+        }
+        assert_eq!(table.len(), Algorithm::SPELLINGS.split('|').count());
+        for rejected in ["ld", "eb:2", "dpap-eb:x", "random:", "DP", ""] {
+            assert!(rejected.parse::<Algorithm>().is_err(), "{rejected} parsed");
+        }
     }
 }

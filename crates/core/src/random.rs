@@ -7,6 +7,8 @@
 //! ordering does not match the next join — exactly the plans a naive
 //! or unlucky system might run.
 
+use std::str::FromStr;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -112,31 +114,32 @@ impl PlanMutation {
         PlanMutation::DuplicateLeaf,
         PlanMutation::WrapRootSort,
     ];
+
+    /// The mutation's command-line spelling (`planlint --mutate`).
+    pub fn name(self) -> &'static str {
+        match self {
+            PlanMutation::SwapJoinInputs => "swap-join-inputs",
+            PlanMutation::FlipOrientation => "flip-orientation",
+            PlanMutation::RewireJoin => "rewire-join",
+            PlanMutation::FlipAxis => "flip-axis",
+            PlanMutation::DropSort => "drop-sort",
+            PlanMutation::RetargetSort => "retarget-sort",
+            PlanMutation::InsertInputSort => "insert-input-sort",
+            PlanMutation::DuplicateLeaf => "duplicate-leaf",
+            PlanMutation::WrapRootSort => "wrap-root-sort",
+        }
+    }
 }
 
-/// Options for [`random_plan_with`]. The default (`mutation: None`)
-/// generates only valid plans; emitting a broken plan requires opting
-/// in explicitly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RandomPlanConfig {
-    /// When set, the generated plan is corrupted with this mutation.
-    pub mutation: Option<PlanMutation>,
-}
+impl FromStr for PlanMutation {
+    type Err = String;
 
-/// Generate one random plan under `config`. With the default config
-/// this is exactly [`random_plan`]; with a mutation set, the plan is
-/// corrupted afterwards (`None` when the mutation does not apply to
-/// the drawn plan, e.g. [`PlanMutation::DropSort`] on a sort-free
-/// plan).
-pub fn random_plan_with(
-    pattern: &Pattern,
-    rng: &mut impl Rng,
-    config: RandomPlanConfig,
-) -> Option<PlanNode> {
-    let plan = random_plan(pattern, rng);
-    match config.mutation {
-        None => Some(plan),
-        Some(m) => mutate_plan(pattern, &plan, m),
+    /// Parse a [`PlanMutation::name`] spelling.
+    fn from_str(name: &str) -> Result<PlanMutation, String> {
+        PlanMutation::ALL
+            .into_iter()
+            .find(|m| m.name() == name)
+            .ok_or_else(|| format!("unknown mutation {name}"))
     }
 }
 
@@ -379,14 +382,11 @@ mod tests {
     }
 
     #[test]
-    fn default_config_emits_only_valid_plans() {
-        let (pattern, _) = parts("//a[./b/c][./d/e]");
-        let mut rng = StdRng::seed_from_u64(13);
-        for _ in 0..100 {
-            let plan = random_plan_with(&pattern, &mut rng, RandomPlanConfig::default())
-                .expect("default config always yields a plan");
-            plan.validate(&pattern).unwrap();
+    fn mutation_names_parse_back() {
+        for mutation in PlanMutation::ALL {
+            assert_eq!(mutation.name().parse::<PlanMutation>(), Ok(mutation));
         }
+        assert_eq!("flip".parse::<PlanMutation>(), Err("unknown mutation flip".to_string()));
     }
 
     #[test]
@@ -395,13 +395,7 @@ mod tests {
         for mutation in PlanMutation::ALL {
             let mut rng = StdRng::seed_from_u64(17);
             let mutated = (0..300)
-                .find_map(|_| {
-                    random_plan_with(
-                        &pattern,
-                        &mut rng,
-                        RandomPlanConfig { mutation: Some(mutation) },
-                    )
-                })
+                .find_map(|_| mutate_plan(&pattern, &random_plan(&pattern, &mut rng), mutation))
                 .unwrap_or_else(|| panic!("{mutation:?} never applied"));
             if mutation == PlanMutation::WrapRootSort {
                 // Stays valid, but is no longer pipelined.

@@ -10,27 +10,6 @@
 //! crate's `certify_trace`) can recompute every quantity the search
 //! used and verify that no prune decision could have discarded the
 //! optimum.
-//!
-//! Traces serialize to a line-oriented text format (one event per
-//! line) so they can be piped between processes and corrupted
-//! deliberately in tests:
-//!
-//! ```text
-//! trace DPP optimum=171.5
-//! generated 1:0;2:1;4:2 level=0 cost=9 ub=220.1
-//! pruned 3:0;4:2 cost=180 bound=171.5
-//! dominated 3:1;4:2 cost=60 known=55
-//! lookahead 3:0;4:2 cost=50
-//! budget level=1
-//! finalized 7:1 cost=171.5
-//! ```
-//!
-//! Status keys print as `;`-separated clusters, each `nodes:ordered`
-//! with `nodes` the cluster's bitmask.
-
-use std::fmt;
-
-use sjos_pattern::{NodeSet, PnId};
 
 use crate::status::StatusKey;
 
@@ -127,182 +106,12 @@ impl SearchTrace {
     pub fn count(&self, f: impl Fn(&TraceEvent) -> bool) -> usize {
         self.events.iter().filter(|e| f(e)).count()
     }
-
-    /// Serialize to the line-oriented text format.
-    pub fn to_text(&self) -> String {
-        let mut out = format!("trace {} optimum={}\n", self.algorithm, self.optimum);
-        for event in &self.events {
-            match event {
-                TraceEvent::Generated { key, level, cost, ub } => {
-                    out.push_str(&format!(
-                        "generated {} level={level} cost={cost} ub={ub}\n",
-                        key_text(key)
-                    ));
-                }
-                TraceEvent::Pruned { key, cost, bound } => {
-                    out.push_str(&format!("pruned {} cost={cost} bound={bound}\n", key_text(key)));
-                }
-                TraceEvent::Dominated { key, cost, known } => {
-                    out.push_str(&format!(
-                        "dominated {} cost={cost} known={known}\n",
-                        key_text(key)
-                    ));
-                }
-                TraceEvent::LookaheadSkipped { key, cost } => {
-                    out.push_str(&format!("lookahead {} cost={cost}\n", key_text(key)));
-                }
-                TraceEvent::BudgetSkipped { level } => {
-                    out.push_str(&format!("budget level={level}\n"));
-                }
-                TraceEvent::Finalized { key, cost } => {
-                    out.push_str(&format!("finalized {} cost={cost}\n", key_text(key)));
-                }
-            }
-        }
-        out
-    }
-
-    /// Parse the text format produced by [`SearchTrace::to_text`].
-    ///
-    /// # Errors
-    /// [`TraceParseError`] naming the first offending line.
-    pub fn from_text(text: &str) -> Result<SearchTrace, TraceParseError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines
-            .next()
-            .ok_or_else(|| TraceParseError { line: 1, message: "empty trace".into() })?;
-        let rest = header.strip_prefix("trace ").ok_or_else(|| TraceParseError {
-            line: 1,
-            message: format!("expected `trace <algorithm> optimum=<cost>`, got `{header}`"),
-        })?;
-        let (algorithm, opt) = rest.rsplit_once(" optimum=").ok_or_else(|| TraceParseError {
-            line: 1,
-            message: "header missing ` optimum=`".into(),
-        })?;
-        let optimum = parse_f64(opt, 1)?;
-        let mut trace =
-            SearchTrace { algorithm: algorithm.to_string(), events: Vec::new(), optimum };
-        for (idx, line) in lines {
-            let lineno = idx + 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut fields = line.split_whitespace();
-            let kind = fields.next().expect("non-empty line has a first field");
-            let event = match kind {
-                "generated" => TraceEvent::Generated {
-                    key: parse_key(fields.next(), lineno)?,
-                    level: parse_field(fields.next(), "level", lineno)?,
-                    cost: parse_field(fields.next(), "cost", lineno)?,
-                    ub: parse_field(fields.next(), "ub", lineno)?,
-                },
-                "pruned" => TraceEvent::Pruned {
-                    key: parse_key(fields.next(), lineno)?,
-                    cost: parse_field(fields.next(), "cost", lineno)?,
-                    bound: parse_field(fields.next(), "bound", lineno)?,
-                },
-                "dominated" => TraceEvent::Dominated {
-                    key: parse_key(fields.next(), lineno)?,
-                    cost: parse_field(fields.next(), "cost", lineno)?,
-                    known: parse_field(fields.next(), "known", lineno)?,
-                },
-                "lookahead" => TraceEvent::LookaheadSkipped {
-                    key: parse_key(fields.next(), lineno)?,
-                    cost: parse_field(fields.next(), "cost", lineno)?,
-                },
-                "budget" => TraceEvent::BudgetSkipped {
-                    level: parse_field(fields.next(), "level", lineno)?,
-                },
-                "finalized" => TraceEvent::Finalized {
-                    key: parse_key(fields.next(), lineno)?,
-                    cost: parse_field(fields.next(), "cost", lineno)?,
-                },
-                other => {
-                    return Err(TraceParseError {
-                        line: lineno,
-                        message: format!("unknown event kind `{other}`"),
-                    })
-                }
-            };
-            if let Some(extra) = fields.next() {
-                return Err(TraceParseError {
-                    line: lineno,
-                    message: format!("trailing field `{extra}`"),
-                });
-            }
-            trace.events.push(event);
-        }
-        Ok(trace)
-    }
-}
-
-/// A line the trace parser could not make sense of.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceParseError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// What was wrong with it.
-    pub message: String,
-}
-
-impl fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trace parse error at line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for TraceParseError {}
-
-fn key_text(key: &StatusKey) -> String {
-    key.parts()
-        .iter()
-        .map(|(nodes, by)| format!("{}:{}", nodes.0, by.0))
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
-fn parse_key(field: Option<&str>, line: usize) -> Result<StatusKey, TraceParseError> {
-    let text =
-        field.ok_or_else(|| TraceParseError { line, message: "missing status key".into() })?;
-    let mut parts = Vec::new();
-    for cluster in text.split(';') {
-        let (nodes, by) = cluster.split_once(':').ok_or_else(|| TraceParseError {
-            line,
-            message: format!("cluster `{cluster}` is not `nodes:ordered`"),
-        })?;
-        let nodes: u64 = nodes
-            .parse()
-            .map_err(|_| TraceParseError { line, message: format!("bad node set `{nodes}`") })?;
-        let by: u16 = by
-            .parse()
-            .map_err(|_| TraceParseError { line, message: format!("bad ordered-by `{by}`") })?;
-        parts.push((NodeSet(nodes), PnId(by)));
-    }
-    Ok(StatusKey::from_parts(parts))
-}
-
-fn parse_field<T: std::str::FromStr>(
-    field: Option<&str>,
-    name: &str,
-    line: usize,
-) -> Result<T, TraceParseError> {
-    let text = field
-        .ok_or_else(|| TraceParseError { line, message: format!("missing `{name}=` field") })?;
-    let value = text.strip_prefix(name).and_then(|v| v.strip_prefix('=')).ok_or_else(|| {
-        TraceParseError { line, message: format!("expected `{name}=<value>`, got `{text}`") }
-    })?;
-    value
-        .parse()
-        .map_err(|_| TraceParseError { line, message: format!("bad {name} value `{value}`") })
-}
-
-fn parse_f64(text: &str, line: usize) -> Result<f64, TraceParseError> {
-    text.parse().map_err(|_| TraceParseError { line, message: format!("bad float `{text}`") })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sjos_pattern::{NodeSet, PnId};
 
     fn key(parts: &[(u64, u16)]) -> StatusKey {
         StatusKey::from_parts(parts.iter().map(|&(n, b)| (NodeSet(n), PnId(b))).collect())
@@ -332,41 +141,6 @@ mod tests {
                 TraceEvent::BudgetSkipped { level: 1 },
             ],
         }
-    }
-
-    #[test]
-    fn text_round_trips() {
-        let trace = sample();
-        let text = trace.to_text();
-        let parsed = SearchTrace::from_text(&text).unwrap();
-        assert_eq!(parsed, trace);
-    }
-
-    #[test]
-    fn non_finite_optimum_round_trips() {
-        let mut trace = SearchTrace::new("DP");
-        assert!(trace.optimum.is_nan());
-        let reparsed = SearchTrace::from_text(&trace.to_text()).unwrap();
-        assert!(reparsed.optimum.is_nan());
-        trace.optimum = f64::INFINITY;
-        let reparsed = SearchTrace::from_text(&trace.to_text()).unwrap();
-        assert_eq!(reparsed.optimum, f64::INFINITY);
-    }
-
-    #[test]
-    fn parse_errors_carry_line_numbers() {
-        assert_eq!(SearchTrace::from_text("").unwrap_err().line, 1);
-        assert!(SearchTrace::from_text("nonsense").unwrap_err().message.contains("trace"));
-        let bad_event = "trace DP optimum=1\nwarped 1:0 cost=2\n";
-        let err = SearchTrace::from_text(bad_event).unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(err.message.contains("warped"));
-        let bad_key = "trace DP optimum=1\ngenerated 1-0 level=0 cost=2 ub=3\n";
-        assert!(SearchTrace::from_text(bad_key).unwrap_err().message.contains("nodes:ordered"));
-        let bad_field = "trace DP optimum=1\ngenerated 1:0 level=x cost=2 ub=3\n";
-        assert!(SearchTrace::from_text(bad_field).unwrap_err().message.contains("level"));
-        let trailing = "trace DP optimum=1\nbudget level=0 extra=1\n";
-        assert!(SearchTrace::from_text(trailing).unwrap_err().message.contains("trailing"));
     }
 
     #[test]

@@ -95,9 +95,9 @@ fn figure4_dpp_finds_the_dp_optimum_with_less_expansion() {
     let pattern = fig34_pattern();
     let (_doc, est, model) = setup(&pattern);
     let mut dp_ctx = SearchContext::new(&pattern, &est, &model);
-    let (dp_plan, dp_cost) = optimize_dp(&mut dp_ctx).unwrap();
+    let (dp_plan, dp_cost) = optimize_dp(&mut dp_ctx, None).unwrap();
     let mut dpp_ctx = SearchContext::new(&pattern, &est, &model);
-    let (dpp_plan, dpp_cost) = optimize_dpp(&mut dpp_ctx, DppConfig::default()).unwrap();
+    let (dpp_plan, dpp_cost) = optimize_dpp(&mut dpp_ctx, DppConfig::default(), None).unwrap();
     // "the structural join plan selected by DPP algorithm is exactly
     // the same as the one selected by DP algorithm." — guaranteed up
     // to cost ties: when two plans price identically the algorithms
@@ -131,10 +131,10 @@ fn example_3_7_small_te_may_still_find_the_optimum_here() {
     let pattern = fig34_pattern();
     let (_doc, est, model) = setup(&pattern);
     let mut full = SearchContext::new(&pattern, &est, &model);
-    let (_, opt) = optimize_dpp(&mut full, DppConfig::default()).unwrap();
+    let (_, opt) = optimize_dpp(&mut full, DppConfig::default(), None).unwrap();
     let mut eb = SearchContext::new(&pattern, &est, &model);
     let (plan, cost) =
-        optimize_dpp(&mut eb, DppConfig { expansion_bound: Some(2), ..DppConfig::default() })
+        optimize_dpp(&mut eb, DppConfig { expansion_bound: Some(2), ..DppConfig::default() }, None)
             .unwrap();
     plan.validate(&pattern).unwrap();
     assert!(cost >= opt - 1e-9);
@@ -174,7 +174,7 @@ fn dpp_priority_queue_reaches_a_final_status_quickly() {
     let pattern = fig34_pattern();
     let (_doc, est, model) = setup(&pattern);
     let mut ctx = SearchContext::new(&pattern, &est, &model);
-    optimize_dpp(&mut ctx, DppConfig::default()).unwrap();
+    optimize_dpp(&mut ctx, DppConfig::default(), None).unwrap();
     assert!(
         ctx.statuses_expanded <= 24,
         "expanded {} statuses on a 4-node pattern",

@@ -113,6 +113,21 @@ impl MetricsSnapshot {
         }
         total
     }
+
+    /// The eight work counters, by name, whose per-morsel values must
+    /// sum exactly to the serial run's (the PL068 contract).
+    pub fn exact_counters(&self) -> [(&'static str, u64); 8] {
+        [
+            ("output_tuples", self.output_tuples),
+            ("produced_tuples", self.produced_tuples),
+            ("stack_pushes", self.stack_pushes),
+            ("stack_pops", self.stack_pops),
+            ("buffered_pairs", self.buffered_pairs),
+            ("sorted_tuples", self.sorted_tuples),
+            ("scanned_records", self.scanned_records),
+            ("merge_rescans", self.merge_rescans),
+        ]
+    }
 }
 
 impl ExecMetrics {

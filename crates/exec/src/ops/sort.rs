@@ -13,7 +13,7 @@ use crate::error::EngineError;
 use crate::guard::QueryGuard;
 use crate::metrics::ExecMetrics;
 use crate::ops::{BoxedOperator, Operator};
-use crate::tuple::{Entry, Schema, TupleBatch, BATCH_ROWS, WIDE_BYTES};
+use crate::tuple::{Entry, Schema, TupleBatch, BATCH_ROWS};
 
 /// Bytes of one [`Entry`] when encoded on a temp page: `u32` node id,
 /// `u32` region start, `u32` region end, `u16` level — denser than the
@@ -72,23 +72,23 @@ impl SpillPolicy {
         (PAGE_SIZE - RUN_PAGE_HEADER) / (width.max(1) * ENTRY_ENC_BYTES)
     }
 
-    /// Worst-case resident bytes of one merge cursor: a full temp
-    /// page decoded to the in-memory layout, every column wide. (A
-    /// sort accounts each cursor at the rows its run can actually
-    /// decode in its own layout, which never exceeds this.)
-    pub fn cursor_bytes(&self, width: usize) -> usize {
-        self.rows_per_page(width) * width * WIDE_BYTES
+    /// Worst-case resident bytes of one merge cursor over rows of
+    /// `width` columns, `row_bytes` bytes each in the sort's layout
+    /// ([`Schema::row_bytes`]): a full temp page decoded to that
+    /// layout.
+    pub fn cursor_bytes(&self, width: usize, row_bytes: usize) -> usize {
+        self.rows_per_page(width) * row_bytes
     }
 
     /// Worst-case resident bytes of a spilling sort over rows of
-    /// `width` columns pulled in `batch_rows`-row batches: the buffer
-    /// (threshold, or a single oversized batch), the merge cursors,
-    /// and one run-writer page. This is the bound the static spill
-    /// admission certifies against a memory budget; it counts every
-    /// column wide, so it holds for any column layout.
-    pub fn resident_bound(&self, width: usize, batch_rows: usize) -> usize {
-        let batch = batch_rows * width * WIDE_BYTES;
-        self.threshold_bytes + batch + self.fan_in * self.cursor_bytes(width) + PAGE_SIZE
+    /// `width` columns and `row_bytes` bytes, pulled in
+    /// `batch_rows`-row batches: the buffer (threshold, or a single
+    /// oversized batch), the merge cursors, and one run-writer page.
+    /// This is the bound the static spill admission certifies against
+    /// a memory budget, in the bytes the sort charges.
+    pub fn resident_bound(&self, width: usize, row_bytes: usize, batch_rows: usize) -> usize {
+        let batch = batch_rows * row_bytes;
+        self.threshold_bytes + batch + self.fan_in * self.cursor_bytes(width, row_bytes) + PAGE_SIZE
     }
 
     /// Derive the largest policy whose [`SpillPolicy::resident_bound`]
@@ -96,8 +96,13 @@ impl SpillPolicy {
     /// threshold (flush every batch) cannot fit — the budget is too
     /// small for the merge machinery itself, and the query must be
     /// rejected rather than degraded.
-    pub fn for_budget(budget_bytes: usize, width: usize, batch_rows: usize) -> Option<SpillPolicy> {
-        let floor = SpillPolicy::with_threshold(0).resident_bound(width, batch_rows);
+    pub fn for_budget(
+        budget_bytes: usize,
+        width: usize,
+        row_bytes: usize,
+        batch_rows: usize,
+    ) -> Option<SpillPolicy> {
+        let floor = SpillPolicy::with_threshold(0).resident_bound(width, row_bytes, batch_rows);
         let threshold = budget_bytes.checked_sub(floor)?;
         Some(SpillPolicy::with_threshold(threshold))
     }
@@ -651,7 +656,7 @@ mod tests {
     use super::*;
     use crate::error::GuardBreach;
     use crate::ops::VecInput;
-    use crate::tuple::Tuple;
+    use crate::tuple::{Tuple, WIDE_BYTES};
 
     fn two_col_rows(pairs: &[(u32, u32)]) -> VecInput {
         let rows: Vec<Tuple> = pairs
@@ -831,7 +836,8 @@ mod tests {
         let pairs = shuffled_pairs(10_000);
         let row_bytes = 2 * std::mem::size_of::<Entry>();
         let total_bytes = pairs.len() * row_bytes;
-        let budget = SpillPolicy::with_threshold(0).resident_bound(2, 64) + 4 * row_bytes * 64;
+        let budget =
+            SpillPolicy::with_threshold(0).resident_bound(2, row_bytes, 64) + 4 * row_bytes * 64;
         assert!(budget < total_bytes, "budget must starve the in-memory sort");
         let guard = Arc::new(QueryGuard::unlimited().with_memory_budget(budget));
 
@@ -847,7 +853,8 @@ mod tests {
         drop(plain);
 
         let guard = Arc::new(QueryGuard::unlimited().with_memory_budget(budget));
-        let policy = SpillPolicy::for_budget(budget, 2, 64).expect("budget fits the machinery");
+        let policy =
+            SpillPolicy::for_budget(budget, 2, row_bytes, 64).expect("budget fits the machinery");
         let (pool, segment) = spill_env(64);
         let m = ExecMetrics::new();
         let mut op = SortOp::new(
@@ -864,10 +871,10 @@ mod tests {
         let s = m.snapshot();
         assert!(s.spilled_runs > 0, "the starved budget must force spilling");
         assert!(
-            (s.peak_bytes as usize) <= policy.resident_bound(2, 64),
+            (s.peak_bytes as usize) <= policy.resident_bound(2, row_bytes, 64),
             "peak {} exceeds the certified bound {}",
             s.peak_bytes,
-            policy.resident_bound(2, 64)
+            policy.resident_bound(2, row_bytes, 64)
         );
         drop(op);
         assert_eq!(segment.live_pages(), 0, "no leaked temp pages");
@@ -894,9 +901,13 @@ mod tests {
 
     #[test]
     fn spill_policy_budget_round_trip() {
-        let policy = SpillPolicy::for_budget(1 << 20, 2, BATCH_ROWS).unwrap();
-        assert!(policy.resident_bound(2, BATCH_ROWS) <= 1 << 20);
-        assert!(SpillPolicy::for_budget(1024, 2, BATCH_ROWS).is_none(), "too small to spill");
+        let row_bytes = 2 * WIDE_BYTES;
+        let policy = SpillPolicy::for_budget(1 << 20, 2, row_bytes, BATCH_ROWS).unwrap();
+        assert!(policy.resident_bound(2, row_bytes, BATCH_ROWS) <= 1 << 20);
+        assert!(
+            SpillPolicy::for_budget(1024, 2, row_bytes, BATCH_ROWS).is_none(),
+            "too small to spill"
+        );
         assert_eq!(SpillPolicy::with_threshold(0).with_fan_in(0).fan_in, 2, "fan-in clamps");
     }
 

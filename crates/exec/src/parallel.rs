@@ -136,9 +136,7 @@ pub fn plan_partition(
     // Collect the scanned tags (with multiplicity — a self-join scans
     // the same list twice and its records weigh double).
     let mut tags: HashMap<sjos_xml::Tag, u64> = HashMap::new();
-    let mut leaves = Vec::new();
-    collect_leaves(plan, &mut leaves);
-    for pnode in leaves {
+    for pnode in plan.bound_nodes() {
         let pat_node = pattern.node(pnode);
         if pat_node.is_wildcard() {
             // The heap list contains the document root, which spans
@@ -241,17 +239,6 @@ where
         }
     }
     Ok(cuts)
-}
-
-fn collect_leaves(plan: &PlanNode, out: &mut Vec<sjos_pattern::PnId>) {
-    match plan {
-        PlanNode::IndexScan { pnode } => out.push(*pnode),
-        PlanNode::Sort { input, .. } => collect_leaves(input, out),
-        PlanNode::StructuralJoin { left, right, .. } => {
-            collect_leaves(left, out);
-            collect_leaves(right, out);
-        }
-    }
 }
 
 /// Assign each record of a document-ordered region list to every

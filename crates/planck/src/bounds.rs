@@ -317,9 +317,11 @@ fn walk(
             // input keeps that tighter bound.
             let full = inner.rows.hi.saturating_mul(inner.row_bytes);
             let buffer = match opts.spill {
-                Some(policy) => full
-                    .saturating_add(PAGE_SIZE as u64)
-                    .min(policy.resident_bound(inner.width, opts.batch_rows.max(1)) as u64),
+                Some(policy) => full.saturating_add(PAGE_SIZE as u64).min(policy.resident_bound(
+                    inner.width,
+                    usize::try_from(inner.row_bytes).expect("a row's bytes fit usize"),
+                    opts.batch_rows.max(1),
+                ) as u64),
                 None => full,
             };
             let input_bytes = inner.row_bytes;
@@ -930,7 +932,7 @@ mod tests {
         let policy = SpillPolicy::with_threshold(0);
         let full = analyze_bounds(&pattern, &est, &model, &plan, &at(3));
         let spilled = analyze_bounds(&pattern, &est, &model, &plan, &spill_at(3, policy));
-        let resident = policy.resident_bound(2, 3) as u64;
+        let resident = policy.resident_bound(2, 2 * NARROW_BYTES, 3) as u64;
         assert!(
             full.operators[0].buffer_bytes > resident,
             "corpus too small to exercise the cap: full {} ≤ resident {resident}",
@@ -1045,13 +1047,14 @@ mod tests {
     fn spill_replay_stays_inside_the_spill_bounds() {
         let (store, pattern, est, model) = setup(&wide_xml(3_000), "//dept//emp");
         let plan = wide_sort_plan();
-        let policy = SpillPolicy::with_threshold(4096);
-        for rows in [3usize, BATCH_ROWS] {
-            let opts = spill_at(rows, policy);
-            let b = analyze_bounds(&pattern, &est, &model, &plan, &opts);
-            let report = lint_bound_soundness(&store, &pattern, &b, &plan, &opts).unwrap();
-            assert!(report.is_clean(), "batch_rows={rows}: {report}");
-            assert_eq!(store.spill().live_pages(), 0, "replay leaked temp pages");
+        for threshold in [0, 4096] {
+            for rows in [1, 3, BATCH_ROWS] {
+                let opts = spill_at(rows, SpillPolicy::with_threshold(threshold));
+                let b = analyze_bounds(&pattern, &est, &model, &plan, &opts);
+                let report = lint_bound_soundness(&store, &pattern, &b, &plan, &opts).unwrap();
+                assert!(report.is_clean(), "threshold={threshold} batch_rows={rows}: {report}");
+                assert_eq!(store.spill().live_pages(), 0, "replay leaked temp pages");
+            }
         }
     }
 

@@ -50,7 +50,7 @@ pub fn lint_optimizers(
             Ok(dp) => {
                 report.absorb(
                     "DP",
-                    lint_plan_with(pattern, &dp.plan, PlanExpectations::default(), costing),
+                    lint_plan_with(pattern, &dp.plan, PlanExpectations::of(Algorithm::Dp), costing),
                 );
                 Some(dp.estimated_cost)
             }
@@ -64,16 +64,17 @@ pub fn lint_optimizers(
     };
 
     for lookahead in [true, false] {
-        let name = if lookahead { "DPP" } else { "DPP'" };
-        let dpp = match optimize(pattern, estimates, model, Algorithm::Dpp { lookahead }) {
+        let algorithm = Algorithm::Dpp { lookahead };
+        let name = algorithm.name();
+        let dpp = match optimize(pattern, estimates, model, algorithm) {
             Ok(dpp) => dpp,
             Err(e) => {
                 report.push(Rule::ErrorSurfaced, name, format!("optimizer failed: {e}"));
                 continue;
             }
         };
-        report
-            .absorb(name, lint_plan_with(pattern, &dpp.plan, PlanExpectations::default(), costing));
+        let expect = PlanExpectations::of(algorithm);
+        report.absorb(name, lint_plan_with(pattern, &dpp.plan, expect, costing));
         if let Some(dp_cost) = dp_cost {
             if (dpp.estimated_cost - dp_cost).abs() > tol(dp_cost) {
                 report.push(
@@ -85,16 +86,8 @@ pub fn lint_optimizers(
         }
     }
 
-    let heuristics = [
-        (Algorithm::DpapEb { te: 2 }, "DPAP-EB", PlanExpectations::default()),
-        (
-            Algorithm::DpapLd,
-            "DPAP-LD",
-            PlanExpectations { left_deep: true, fully_pipelined: false },
-        ),
-        (Algorithm::Fp, "FP", PlanExpectations { fully_pipelined: true, left_deep: false }),
-    ];
-    for (alg, name, expect) in heuristics {
+    for alg in [Algorithm::DpapEb { te: 2 }, Algorithm::DpapLd, Algorithm::Fp] {
+        let name = alg.name();
         let h = match optimize(pattern, estimates, model, alg) {
             Ok(h) => h,
             Err(e) => {
@@ -102,7 +95,7 @@ pub fn lint_optimizers(
                 continue;
             }
         };
-        report.absorb(name, lint_plan_with(pattern, &h.plan, expect, costing));
+        report.absorb(name, lint_plan_with(pattern, &h.plan, PlanExpectations::of(alg), costing));
         if let Some(dp_cost) = dp_cost {
             if h.estimated_cost < dp_cost - tol(dp_cost) {
                 report.push(

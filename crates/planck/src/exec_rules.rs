@@ -146,7 +146,7 @@ pub fn lint_partition(
     // Validity, from the ground truth: re-scan every binding list the
     // plan reads and look for an interval straddling a cut.
     if !par.cuts.is_empty() {
-        for pnode in plan_leaves(plan) {
+        for pnode in plan.bound_nodes() {
             let pat_node = pattern.node(pnode);
             if pat_node.is_wildcard() {
                 report.push(
@@ -190,17 +190,9 @@ pub fn lint_partition(
     }
     let s = &serial.metrics;
     let p = &par.result.metrics;
-    let exact: [(&str, u64, u64); 8] = [
-        ("output_tuples", s.output_tuples, p.output_tuples),
-        ("produced_tuples", s.produced_tuples, p.produced_tuples),
-        ("stack_pushes", s.stack_pushes, p.stack_pushes),
-        ("stack_pops", s.stack_pops, p.stack_pops),
-        ("buffered_pairs", s.buffered_pairs, p.buffered_pairs),
-        ("sorted_tuples", s.sorted_tuples, p.sorted_tuples),
-        ("scanned_records", s.scanned_records, p.scanned_records),
-        ("merge_rescans", s.merge_rescans, p.merge_rescans),
-    ];
-    for (name, serial_v, parallel_v) in exact {
+    for ((name, serial_v), (_, parallel_v)) in
+        s.exact_counters().into_iter().zip(p.exact_counters())
+    {
         if serial_v != parallel_v {
             report.push(
                 Rule::PartitionSound,
@@ -229,22 +221,6 @@ pub fn lint_partition(
         );
     }
     report
-}
-
-fn plan_leaves(plan: &PlanNode) -> Vec<sjos_pattern::PnId> {
-    fn walk(plan: &PlanNode, out: &mut Vec<sjos_pattern::PnId>) {
-        match plan {
-            PlanNode::IndexScan { pnode } => out.push(*pnode),
-            PlanNode::Sort { input, .. } => walk(input, out),
-            PlanNode::StructuralJoin { left, right, .. } => {
-                walk(left, out);
-                walk(right, out);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(plan, &mut out);
-    out
 }
 
 /// Lint an already-executed result's root batch stream against the

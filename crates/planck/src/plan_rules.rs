@@ -1,6 +1,6 @@
 //! Static checks over physical plan trees (rules PL001–PL013).
 
-use sjos_core::CostModel;
+use sjos_core::{Algorithm, CostModel};
 use sjos_exec::PlanNode;
 use sjos_pattern::{NodeSet, Pattern, PnId};
 use sjos_stats::PatternEstimates;
@@ -14,6 +14,18 @@ pub struct PlanExpectations {
     pub fully_pipelined: bool,
     /// The plan is claimed left-deep (DPAP-LD output): rule PL009.
     pub left_deep: bool,
+}
+
+impl PlanExpectations {
+    /// What `algorithm` claims of its plans beyond validity: DPAP-LD
+    /// plans are left-deep, FP plans fully pipelined, and every other
+    /// algorithm claims nothing more.
+    pub fn of(algorithm: Algorithm) -> PlanExpectations {
+        PlanExpectations {
+            fully_pipelined: algorithm == Algorithm::Fp,
+            left_deep: algorithm == Algorithm::DpapLd,
+        }
+    }
 }
 
 /// Lint `plan` structurally against `pattern` (rules PL001–PL007 and

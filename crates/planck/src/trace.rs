@@ -1,8 +1,8 @@
 //! Search-trace admissibility certification (rules PL050–PL053).
 //!
 //! The DP-family optimizers can record a [`SearchTrace`] of every
-//! decision they make ([`sjos_core::dpp::optimize_dpp_traced`],
-//! [`sjos_core::dp::optimize_dp_traced`]). Because a
+//! decision they make ([`sjos_core::optimize_traced`], the search
+//! [`sjos_core::optimize`] runs). Because a
 //! [`sjos_core::StatusKey`] is a *complete* status identity — cluster
 //! cardinality is a pure function of the node set — this module can
 //! replay each decision against the status lattice without re-running
@@ -27,10 +27,10 @@
 
 use std::collections::{HashMap, HashSet};
 
-use sjos_core::dp::optimize_dp_traced;
-use sjos_core::dpp::{optimize_dpp_traced, DppConfig};
 use sjos_core::status::SearchContext;
-use sjos_core::{Algorithm, CostModel, SearchTrace, StatusKey, TraceEvent};
+use sjos_core::{
+    optimize_traced, Algorithm, CostModel, OptimizedPlan, SearchTrace, StatusKey, TraceEvent,
+};
 use sjos_pattern::Pattern;
 use sjos_stats::PatternEstimates;
 
@@ -42,7 +42,9 @@ fn tol(x: f64) -> f64 {
     1e-6 * x.abs().max(1.0)
 }
 
-/// Run `algorithm` over the pattern and record its search trace.
+/// Optimize the pattern with `algorithm` exactly as
+/// [`sjos_core::optimize`] does, returning the chosen plan together
+/// with the recorded search trace.
 ///
 /// # Errors
 /// A human-readable message when the algorithm does not perform a
@@ -53,35 +55,17 @@ pub fn record_search_trace(
     estimates: &PatternEstimates,
     model: &CostModel,
     algorithm: Algorithm,
-) -> Result<SearchTrace, String> {
-    let mut ctx = SearchContext::new(pattern, estimates, model);
+) -> Result<(OptimizedPlan, SearchTrace), String> {
+    if matches!(algorithm, Algorithm::Fp | Algorithm::WorstRandom { .. }) {
+        return Err(format!(
+            "{} does not perform a status search, so there is no trace to record",
+            algorithm.name()
+        ));
+    }
     let mut trace = SearchTrace::new(algorithm.name());
-    let result = match algorithm {
-        Algorithm::Dp => optimize_dp_traced(&mut ctx, Some(&mut trace)),
-        Algorithm::Dpp { lookahead } => optimize_dpp_traced(
-            &mut ctx,
-            DppConfig { lookahead, ..DppConfig::default() },
-            Some(&mut trace),
-        ),
-        Algorithm::DpapEb { te } => optimize_dpp_traced(
-            &mut ctx,
-            DppConfig { expansion_bound: Some(te), ..DppConfig::default() },
-            Some(&mut trace),
-        ),
-        Algorithm::DpapLd => optimize_dpp_traced(
-            &mut ctx,
-            DppConfig { left_deep_only: true, ..DppConfig::default() },
-            Some(&mut trace),
-        ),
-        Algorithm::Fp | Algorithm::WorstRandom { .. } => {
-            return Err(format!(
-                "{} does not perform a status search, so there is no trace to record",
-                algorithm.name()
-            ))
-        }
-    };
-    result.map_err(|e| e.to_string())?;
-    Ok(trace)
+    let optimized = optimize_traced(pattern, estimates, model, algorithm, Some(&mut trace))
+        .map_err(|e| e.to_string())?;
+    Ok((optimized, trace))
 }
 
 /// Replay `trace` against the status lattice of `pattern` and certify
@@ -406,7 +390,7 @@ mod tests {
         for pat in ["//c", "//a/b", "//a[./b/c][./d/e]", "//a[./b[./c][./e]][./d/e]"] {
             let (pattern, est, model) = parts(pat);
             for algo in [Algorithm::Dp, Algorithm::Dpp { lookahead: true }] {
-                let trace = record_search_trace(&pattern, &est, &model, algo).unwrap();
+                let (_, trace) = record_search_trace(&pattern, &est, &model, algo).unwrap();
                 let report = certify_trace(&pattern, &est, &model, &trace);
                 assert!(report.is_clean(), "{pat} / {}: {report}", algo.name());
             }
@@ -416,7 +400,7 @@ mod tests {
     #[test]
     fn dpp_prime_traces_certify_clean_too() {
         let (pattern, est, model) = parts("//a[./b/c][./d/e]");
-        let trace =
+        let (_, trace) =
             record_search_trace(&pattern, &est, &model, Algorithm::Dpp { lookahead: false })
                 .unwrap();
         let report = certify_trace(&pattern, &est, &model, &trace);
@@ -433,8 +417,9 @@ mod tests {
     #[test]
     fn inflated_ubcost_is_rejected_as_inconsistent() {
         let (pattern, est, model) = parts("//a[./b/c][./d/e]");
-        let trace = record_search_trace(&pattern, &est, &model, Algorithm::Dpp { lookahead: true })
-            .unwrap();
+        let (_, trace) =
+            record_search_trace(&pattern, &est, &model, Algorithm::Dpp { lookahead: true })
+                .unwrap();
         let bad = corrupt_trace(&trace, TraceCorruption::InflateUbCost);
         let report = certify_trace(&pattern, &est, &model, &bad);
         assert!(report.violates(Rule::TraceConsistent), "{report}");
@@ -443,8 +428,9 @@ mod tests {
     #[test]
     fn dropping_finalizations_breaks_completeness() {
         let (pattern, est, model) = parts("//a[./b/c][./d/e]");
-        let trace = record_search_trace(&pattern, &est, &model, Algorithm::Dpp { lookahead: true })
-            .unwrap();
+        let (_, trace) =
+            record_search_trace(&pattern, &est, &model, Algorithm::Dpp { lookahead: true })
+                .unwrap();
         let bad = corrupt_trace(&trace, TraceCorruption::DropFinalized);
         let report = certify_trace(&pattern, &est, &model, &bad);
         assert!(report.violates(Rule::TraceComplete), "{report}");
@@ -454,7 +440,7 @@ mod tests {
     fn cheap_prune_is_rejected_as_inadmissible() {
         let (pattern, est, model) = parts("//a[./b[./c][./e]][./d/e]");
         for algo in [Algorithm::Dp, Algorithm::Dpp { lookahead: true }] {
-            let trace = record_search_trace(&pattern, &est, &model, algo).unwrap();
+            let (_, trace) = record_search_trace(&pattern, &est, &model, algo).unwrap();
             let bad = corrupt_trace(&trace, TraceCorruption::CheapPrune);
             let report = certify_trace(&pattern, &est, &model, &bad);
             assert!(report.violates(Rule::PruneAdmissible), "{}: {report}", algo.name());
@@ -464,7 +450,7 @@ mod tests {
     #[test]
     fn skipping_a_live_status_violates_lookahead_admissibility() {
         let (pattern, est, model) = parts("//a/b/c");
-        let mut trace =
+        let (_, mut trace) =
             record_search_trace(&pattern, &est, &model, Algorithm::Dpp { lookahead: true })
                 .unwrap();
         // {a,b} ordered by b next to {c}: the b/c edge is joinable, so
@@ -481,7 +467,7 @@ mod tests {
     #[test]
     fn malformed_keys_are_reported_with_definition_4_rules() {
         let (pattern, est, model) = parts("//a/b");
-        let mut trace = record_search_trace(&pattern, &est, &model, Algorithm::Dp).unwrap();
+        let (_, mut trace) = record_search_trace(&pattern, &est, &model, Algorithm::Dp).unwrap();
         // A key that binds node 0 twice and never binds node 1.
         let bad = StatusKey::from_parts(vec![
             (NodeSet::from_iter([PnId(0)]), PnId(0)),
@@ -491,17 +477,5 @@ mod tests {
         let report = certify_trace(&pattern, &est, &model, &trace);
         assert!(report.violates(Rule::TraceConsistent), "{report}");
         assert!(report.violates(Rule::ClusterPartition) || report.violates(Rule::ClusterOverlap));
-    }
-
-    #[test]
-    fn serialized_traces_certify_identically() {
-        let (pattern, est, model) = parts("//a[./b/c][./d]");
-        let trace = record_search_trace(&pattern, &est, &model, Algorithm::Dpp { lookahead: true })
-            .unwrap();
-        let reparsed = SearchTrace::from_text(&trace.to_text()).unwrap();
-        let direct = certify_trace(&pattern, &est, &model, &trace);
-        let roundtrip = certify_trace(&pattern, &est, &model, &reparsed);
-        assert_eq!(direct, roundtrip);
-        assert!(direct.is_clean(), "{direct}");
     }
 }

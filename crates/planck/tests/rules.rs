@@ -69,10 +69,6 @@ fn fixture(query: &str) -> Fixture {
 const QUERIES: [&str; 5] =
     ["//a/b/c", "//a//c/d", "//a[./b/c][.//e]", "//b[./c/d][./e]", "//a/b/c/d order by a"];
 
-fn expectations_for(alg: Algorithm) -> PlanExpectations {
-    PlanExpectations { fully_pipelined: alg == Algorithm::Fp, left_deep: alg == Algorithm::DpapLd }
-}
-
 /// Every optimizer's plan for every fixture query lints clean,
 /// including the optimizer-specific claims and the cost rules.
 #[test]
@@ -93,7 +89,7 @@ fn optimizer_plans_lint_clean() {
             let report = lint_plan_with(
                 &fx.pattern,
                 &optimized.plan,
-                expectations_for(alg),
+                PlanExpectations::of(alg),
                 Some((&fx.estimates, &fx.model)),
             );
             assert!(

@@ -31,7 +31,7 @@ fn main() {
         Algorithm::DpapEb { te: 6 },
         Algorithm::DpapLd,
         Algorithm::Fp,
-        Algorithm::WorstRandom { samples: 64, seed: 2003 },
+        Algorithm::BAD_PLAN,
     ];
     let mut reference: Option<usize> = None;
     for alg in algorithms {

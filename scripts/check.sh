@@ -31,17 +31,28 @@ done
 echo "==> planlint selftest"
 cargo run --quiet --bin planlint -- --query '//a/b/c' --selftest >/dev/null
 
-echo "==> planlint certify (DP + DPP traces over the three corpora)"
+echo "==> planlint certify (DP, DPP, DPP' and DPAP-LD traces over the three corpora)"
 for spec in "pers:3000:'//manager//employee/name'" \
             "dblp:3000:'//dblp/article[./author][./title]'" \
             "mbench:1500:'//eNest//eNest/eOccasional'"; do
   gen="${spec%%:*}"; rest="${spec#*:}"
   n="${rest%%:*}"; query="${rest#*:}"; query="${query%\'}"; query="${query#\'}"
-  for algo in dp dpp; do
+  for algo in dp dpp dpp-nl dpap-ld; do
     cargo run --quiet --bin planlint -- certify \
       --gen "$gen:$n" --query "$query" --algo "$algo" --json >/dev/null
   done
 done
+
+echo "==> planlint certify reports a DPAP-EB budget cutoff under PL053 (expected exit 1)"
+if eb=$(cargo run --quiet --bin planlint -- certify --gen pers:3000 \
+    --query '//manager//employee/name' --algo dpap-eb:1 --json); then
+  echo "budget-cut DPAP-EB trace certified clean" >&2
+  exit 1
+fi
+if ! grep -q '"PL053"' <<<"$eb"; then
+  echo "DPAP-EB budget cutoff not reported under PL053" >&2
+  exit 1
+fi
 
 echo "==> planlint admit (resource-bound admission over the three corpora)"
 cargo run --quiet --bin planlint -- admit \

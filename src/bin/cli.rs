@@ -129,7 +129,7 @@ fn command(session: &mut Session, rest: &str) {
     match cmd {
         "help" => {
             println!(
-                "\\algo <dp|dpp|dpp-nl|eb:<n>|ld|fp|bad>   choose the optimizer (now: {})\n\
+                "\\algo <algorithm>                        choose the optimizer (now: {})\n\
                  \\explain <query>                         show the chosen plan\n\
                  \\analyze <query>                         plan + execution counters\n\
                  \\holistic <query>                        evaluate with the TwigStack twig join\n\
@@ -138,17 +138,19 @@ fn command(session: &mut Session, rest: &str) {
                  \\service                                 print service metrics as JSON\n\
                  \\stats                                   tag cardinalities\n\
                  \\limit <n>                               rows to print (now: {})\n\
-                 \\quit                                    exit",
+                 \\quit                                    exit\n\
+                 algorithms: {}",
                 session.algorithm.name(),
-                session.limit
+                session.limit,
+                Algorithm::SPELLINGS
             );
         }
-        "algo" => match parse_algo(arg) {
-            Some(a) => {
+        "algo" => match arg.parse::<Algorithm>() {
+            Ok(a) => {
                 session.algorithm = a;
                 println!("optimizer: {}", a.name());
             }
-            None => println!("unknown algorithm {arg:?}"),
+            Err(e) => println!("{e}"),
         },
         "limit" => match arg.parse::<usize>() {
             Ok(n) => session.limit = n,
@@ -243,21 +245,6 @@ fn command(session: &mut Session, rest: &str) {
         },
         other => println!("unknown command \\{other} (try \\help)"),
     }
-}
-
-fn parse_algo(arg: &str) -> Option<Algorithm> {
-    Some(match arg {
-        "dp" => Algorithm::Dp,
-        "dpp" => Algorithm::Dpp { lookahead: true },
-        "dpp-nl" => Algorithm::Dpp { lookahead: false },
-        "ld" => Algorithm::DpapLd,
-        "fp" => Algorithm::Fp,
-        "bad" => Algorithm::WorstRandom { samples: 64, seed: 2003 },
-        _ => {
-            let te = arg.strip_prefix("eb:")?.parse().ok()?;
-            Algorithm::DpapEb { te }
-        }
-    })
 }
 
 #[derive(Clone, Copy, PartialEq)]

@@ -98,12 +98,13 @@ fn main() {
             eprintln!(
                 "usage: planlint [dataflow|certify|admit|rules|conc] \
                  [--xml <file> | --gen pers:<n>|dblp:<n>|mbench:<n>] \
-                 --query <pattern> [--algo dp|dpp|dpp-nl|dpap-eb:<te>|dpap-ld|fp|random:<seed>] \
+                 --query <pattern> [--algo {}] \
                  [--mutate <mutation>] \
                  [--corrupt inflate-ubcost|drop-finalized|cheap-prune] \
                  [--memory-budget <bytes|KiB|MiB|GiB>] [--batch-budget <pulls>] \
                  [--batch-rows <n>] [--root <dir>] \
-                 [--cross] [--selftest] [--json]"
+                 [--cross] [--selftest] [--json]",
+                Algorithm::SPELLINGS
             );
             std::process::exit(2);
         }
@@ -252,59 +253,6 @@ fn load(opts: &Options) -> Result<Database, String> {
     Ok(Database::from_document(doc))
 }
 
-fn parse_algo(name: &str) -> Result<(Algorithm, PlanExpectations), String> {
-    let none = PlanExpectations::default();
-    Ok(match name {
-        "dp" => (Algorithm::Dp, none),
-        "dpp" => (Algorithm::Dpp { lookahead: true }, none),
-        "dpp-nl" => (Algorithm::Dpp { lookahead: false }, none),
-        "dpap-ld" => {
-            (Algorithm::DpapLd, PlanExpectations { left_deep: true, fully_pipelined: false })
-        }
-        "fp" => (Algorithm::Fp, PlanExpectations { fully_pipelined: true, left_deep: false }),
-        other => {
-            if let Some(te) = other.strip_prefix("dpap-eb:") {
-                let te: usize = te.parse().map_err(|_| "bad T_e")?;
-                (Algorithm::DpapEb { te }, none)
-            } else if let Some(seed) = other.strip_prefix("random:") {
-                let seed: u64 = seed.parse().map_err(|_| "bad seed")?;
-                (Algorithm::WorstRandom { samples: 1, seed }, none)
-            } else {
-                return Err(format!("unknown algorithm {other}"));
-            }
-        }
-    })
-}
-
-fn parse_mutation(name: &str) -> Result<PlanMutation, String> {
-    Ok(match name {
-        "swap-join-inputs" => PlanMutation::SwapJoinInputs,
-        "flip-orientation" => PlanMutation::FlipOrientation,
-        "rewire-join" => PlanMutation::RewireJoin,
-        "flip-axis" => PlanMutation::FlipAxis,
-        "drop-sort" => PlanMutation::DropSort,
-        "retarget-sort" => PlanMutation::RetargetSort,
-        "insert-input-sort" => PlanMutation::InsertInputSort,
-        "duplicate-leaf" => PlanMutation::DuplicateLeaf,
-        "wrap-root-sort" => PlanMutation::WrapRootSort,
-        other => return Err(format!("unknown mutation {other}")),
-    })
-}
-
-fn mutation_name(m: PlanMutation) -> &'static str {
-    match m {
-        PlanMutation::SwapJoinInputs => "swap-join-inputs",
-        PlanMutation::FlipOrientation => "flip-orientation",
-        PlanMutation::RewireJoin => "rewire-join",
-        PlanMutation::FlipAxis => "flip-axis",
-        PlanMutation::DropSort => "drop-sort",
-        PlanMutation::RetargetSort => "retarget-sort",
-        PlanMutation::InsertInputSort => "insert-input-sort",
-        PlanMutation::DuplicateLeaf => "duplicate-leaf",
-        PlanMutation::WrapRootSort => "wrap-root-sort",
-    }
-}
-
 /// Print `report` in the selected format and return its cleanliness.
 fn finish(opts: &Options, report: &Report) -> bool {
     if opts.json {
@@ -337,11 +285,12 @@ fn run(opts: &Options) -> Result<bool, String> {
         return run_admit(opts, &db, &pattern);
     }
 
-    let (algorithm, mut expect) = parse_algo(&opts.algo)?;
+    let algorithm: Algorithm = opts.algo.parse()?;
+    let mut expect = PlanExpectations::of(algorithm);
     let optimized = db.optimize(&pattern, algorithm).map_err(|e| e.to_string())?;
     let mut plan = optimized.plan;
     if let Some(name) = &opts.mutate {
-        let mutation = parse_mutation(name)?;
+        let mutation: PlanMutation = name.parse()?;
         plan = mutate_plan(&pattern, &plan, mutation)
             .ok_or_else(|| format!("mutation {name} does not apply to this plan"))?;
         if mutation == PlanMutation::WrapRootSort {
@@ -413,8 +362,7 @@ fn run_certify(
     estimates: &sjos::stats::PatternEstimates,
     model: &sjos::core::CostModel,
 ) -> Result<bool, String> {
-    let (algorithm, _) = parse_algo(&opts.algo)?;
-    let mut trace = record_search_trace(pattern, estimates, model, algorithm)?;
+    let (_, mut trace) = record_search_trace(pattern, estimates, model, opts.algo.parse()?)?;
     let mut label = String::new();
     if let Some(kind) = &opts.corrupt {
         let corruption =
@@ -578,7 +526,7 @@ fn budgeted(run: &ExecOptions, memory_budget: u64, batch_budget: Option<u64>) ->
 fn run_admit(opts: &Options, db: &Database, pattern: &sjos::Pattern) -> Result<bool, String> {
     let estimates = db.estimates(pattern);
     let model = *db.cost_model();
-    let (algorithm, _) = parse_algo(&opts.algo)?;
+    let algorithm: Algorithm = opts.algo.parse()?;
     let optimized = db.optimize(pattern, algorithm).map_err(|e| e.to_string())?;
     let plan = optimized.plan;
     let memory_budget = opts.memory_budget.unwrap_or(DEFAULT_MEMORY_BUDGET);
@@ -625,17 +573,18 @@ fn selftest(db: &Database, pattern: &sjos::Pattern) -> Result<bool, String> {
     let model = *db.cost_model();
     let mut ok = true;
 
-    let algorithms: [(Algorithm, PlanExpectations); 7] = [
-        (Algorithm::Dp, PlanExpectations::default()),
-        (Algorithm::Dpp { lookahead: true }, PlanExpectations::default()),
-        (Algorithm::Dpp { lookahead: false }, PlanExpectations::default()),
-        (Algorithm::DpapEb { te: 2 }, PlanExpectations::default()),
-        (Algorithm::DpapLd, PlanExpectations { left_deep: true, fully_pipelined: false }),
-        (Algorithm::Fp, PlanExpectations { fully_pipelined: true, left_deep: false }),
-        (Algorithm::WorstRandom { samples: 16, seed: 42 }, PlanExpectations::default()),
+    let algorithms = [
+        Algorithm::Dp,
+        Algorithm::Dpp { lookahead: true },
+        Algorithm::Dpp { lookahead: false },
+        Algorithm::DpapEb { te: 2 },
+        Algorithm::DpapLd,
+        Algorithm::Fp,
+        Algorithm::WorstRandom { samples: 16, seed: 42 },
     ];
     println!("== optimizer plans (expected clean) ==");
-    for (alg, expect) in algorithms {
+    for alg in algorithms {
+        let expect = PlanExpectations::of(alg);
         let optimized = match db.optimize(pattern, alg) {
             Ok(o) => o,
             Err(e) => {
@@ -659,7 +608,7 @@ fn selftest(db: &Database, pattern: &sjos::Pattern) -> Result<bool, String> {
     println!("== order-property dataflow (PL042, FP proved non-blocking statically) ==");
     match db.optimize(pattern, Algorithm::Fp) {
         Ok(fp) => {
-            let expect = PlanExpectations { fully_pipelined: true, left_deep: false };
+            let expect = PlanExpectations::of(Algorithm::Fp);
             let analysis = sjos_planck::analyze_plan(pattern, &fp.plan, expect);
             if analysis.proved_pipelined && analysis.report.is_clean() {
                 println!("  clean (pipeline safety proved without execution)");
@@ -687,7 +636,7 @@ fn selftest(db: &Database, pattern: &sjos::Pattern) -> Result<bool, String> {
 
     println!("== mutated plans (expected caught) ==");
     for mutation in PlanMutation::ALL {
-        let name = mutation_name(mutation);
+        let name = mutation.name();
         let Some(mutated) = mutate_plan(pattern, &base, mutation) else {
             println!("  {name:<18} (not applicable to this plan)");
             continue;
@@ -710,7 +659,7 @@ fn selftest(db: &Database, pattern: &sjos::Pattern) -> Result<bool, String> {
     println!("== search-trace certification (expected clean) ==");
     for algorithm in [Algorithm::Dp, Algorithm::Dpp { lookahead: true }] {
         match record_search_trace(pattern, &estimates, &model, algorithm) {
-            Ok(trace) => {
+            Ok((_, trace)) => {
                 let report = certify_trace(pattern, &estimates, &model, &trace);
                 if report.is_clean() {
                     println!(
@@ -731,7 +680,7 @@ fn selftest(db: &Database, pattern: &sjos::Pattern) -> Result<bool, String> {
     }
 
     println!("== corrupted traces (expected caught) ==");
-    let honest =
+    let (_, honest) =
         record_search_trace(pattern, &estimates, &model, Algorithm::Dpp { lookahead: true })?;
     for (corruption, name) in TraceCorruption::ALL {
         let doctored = corrupt_trace(&honest, corruption);

@@ -52,7 +52,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sjos_core::Algorithm;
-use sjos_exec::{ExecOptions, PlanNode, QueryGuard, QueryResult, SpillPolicy, BATCH_ROWS};
+use sjos_exec::{ExecOptions, PlanNode, QueryGuard, QueryResult, SpillPolicy};
 use sjos_pattern::{parse_pattern, Pattern};
 use sjos_storage::{IoSnapshot, IoTap};
 
@@ -490,57 +490,38 @@ impl Session {
     }
 }
 
-/// The widest sort input anywhere in `plan` (its column count), or
-/// `None` when the plan has no sort — nothing to spill, so degraded
-/// admission cannot help.
-fn max_sort_width(plan: &PlanNode) -> Option<usize> {
-    fn go(plan: &PlanNode) -> (usize, Option<usize>) {
-        match plan {
-            PlanNode::IndexScan { .. } => (1, None),
-            PlanNode::Sort { input, .. } => {
-                let (width, inner) = go(input);
-                (width, Some(inner.map_or(width, |m| m.max(width))))
-            }
-            PlanNode::StructuralJoin { left, right, .. } => {
-                let (lw, ls) = go(left);
-                let (rw, rs) = go(right);
-                let widest = match (ls, rs) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (a, b) => a.or(b),
-                };
-                (lw + rw, widest)
-            }
-        }
-    }
-    go(plan).1
-}
-
 /// Find spill-mode options under which `plan`'s resident certificate
-/// fits `budget`, if any exist: start from the largest threshold whose
-/// sort-local resident bound fits (keeping as much of the sort in
-/// memory as possible), and while the whole-plan certificate still
-/// overshoots — the other operators' buffers, or a sort whose full
-/// materialization is below the cap — shrink the threshold by the
-/// overshoot, down to the floor of zero. The resident peak is
-/// monotone in the threshold, so a handful of strictly-decreasing
-/// steps either certifies (PL066) or proves not even the floor fits.
+/// fits `budget`, if any exist. The certificate at a zero flush
+/// threshold is the floor: a plan with no sort has nothing to spill,
+/// and a floor above the budget cannot be degraded. Otherwise start
+/// from the threshold that spends the budget's headroom above the
+/// floor (keeping as much of the sort in memory as possible), and
+/// while the certificate still overshoots — several sorts each grow by
+/// the threshold — shrink the threshold by the overshoot, down to
+/// zero. The resident peak is monotone in the threshold, so a
+/// handful of strictly-decreasing steps either certifies (PL066) or
+/// proves not even the floor fits.
 fn degraded_certificate(
     db: &Database,
     pattern: &Pattern,
     plan: &PlanNode,
     budget: u64,
 ) -> Option<(ExecOptions, sjos_planck::ResourceBounds)> {
-    let width = max_sort_width(plan)?;
+    if plan.is_fully_pipelined() {
+        return None;
+    }
     let budget_usize = usize::try_from(budget).unwrap_or(usize::MAX);
     let guard = Arc::new(QueryGuard::unlimited().with_memory_budget(budget_usize));
-    let mut threshold = SpillPolicy::for_budget(budget_usize, width, BATCH_ROWS)?.threshold_bytes;
+    let spilling_at = |threshold| ExecOptions {
+        guard: Some(Arc::clone(&guard)),
+        spill: Some(SpillPolicy::with_threshold(threshold)),
+        ..ExecOptions::default()
+    };
+    let (floor, _) = db.admit(pattern, plan, &spilling_at(0));
+    let headroom = budget.checked_sub(floor.peak_bytes)?;
+    let mut threshold = usize::try_from(headroom).unwrap_or(usize::MAX);
     for _ in 0..4 {
-        let policy = SpillPolicy::with_threshold(threshold);
-        let opts = ExecOptions {
-            guard: Some(Arc::clone(&guard)),
-            spill: Some(policy),
-            ..ExecOptions::default()
-        };
+        let opts = spilling_at(threshold);
         let (bounds, report) = db.admit(pattern, plan, &opts);
         if report.is_clean() {
             return Some((opts, bounds));

@@ -127,3 +127,28 @@ fn default_model_prefers_stack_tree_on_large_outputs() {
     let optimized = db.optimize(&pattern, Algorithm::Dpp { lookahead: true }).unwrap();
     assert_eq!(count_algo(&optimized.plan, JoinAlgo::MergeJoin), 0, "{}", optimized.plan);
 }
+
+/// Why MPMGJN stays in the toolbox: a value predicate shrinks the
+/// descendant list to a handful of matches, where MPMGJN's rescans
+/// cost less than stack maintenance, so the default model picks it;
+/// the same join without the predicate stays on Stack-Tree.
+#[test]
+fn default_model_picks_merge_join_on_a_predicated_join() {
+    let db = Database::from_document(pers(GenConfig::sized(5_000)));
+    let doc = db.document();
+    let manager = doc.elements_with_tag(doc.tag("manager").unwrap())[0];
+    let name = doc
+        .children(manager)
+        .find(|&c| doc.tag_name(doc.node(c).tag) == "name")
+        .expect("a manager has a name child");
+    let literal = doc.node(name).text.trim();
+    let dpp = Algorithm::Dpp { lookahead: true };
+    let merge_joins = |query: &str| {
+        let pattern = sjos::parse_pattern(query).unwrap();
+        let plan = db.optimize(&pattern, dpp).unwrap().plan;
+        (count_algo(&plan, JoinAlgo::MergeJoin), plan.join_count())
+    };
+    let predicated = format!("//manager[./name[text()='{literal}']]");
+    assert_eq!(merge_joins(&predicated), (1, 1), "{predicated}");
+    assert_eq!(merge_joins("//manager[./name]"), (0, 1));
+}

@@ -35,20 +35,6 @@ fn on_threads(threads: usize) -> ExecOptions {
     ExecOptions { threads, ..ExecOptions::default() }
 }
 
-/// The eight counters PL068 demands sum exactly across morsels.
-fn exact_counters(m: &sjos_exec::MetricsSnapshot) -> [u64; 8] {
-    [
-        m.output_tuples,
-        m.produced_tuples,
-        m.stack_pushes,
-        m.stack_pops,
-        m.buffered_pairs,
-        m.sorted_tuples,
-        m.scanned_records,
-        m.merge_rescans,
-    ]
-}
-
 /// Small folded corpora: folding replicates each data set's content
 /// under one shared root, so the document has clean seams between
 /// copies — without it Mbench is one giant `eNest` whose interval
@@ -79,7 +65,7 @@ fn parallel_matches_serial_across_threads_and_granularities() {
             let serial = db
                 .execute(&pattern, &plan, &ExecOptions::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", q.id));
-            let serial_counters = exact_counters(&serial.metrics);
+            let serial_counters = serial.metrics.exact_counters();
             for threads in THREAD_COUNTS {
                 for batch_rows in BATCH_SIZES {
                     let opts = ExecOptions { batch_rows, threads, ..ExecOptions::default() };
@@ -92,7 +78,7 @@ fn parallel_matches_serial_across_threads_and_granularities() {
                         q.id
                     );
                     assert_eq!(
-                        exact_counters(&out.result.metrics),
+                        out.result.metrics.exact_counters(),
                         serial_counters,
                         "{} @ {threads} threads, batch_rows={batch_rows}: counters diverged",
                         q.id
@@ -331,7 +317,7 @@ fn dying_worker_io_still_lands_in_the_session_tap() {
     let pattern = q.pattern();
     let plan = db.optimize(&pattern, Algorithm::Dpp { lookahead: true }).expect("optimizes").plan;
     let serial = db.execute(&pattern, &plan, &ExecOptions::default()).expect("serial run");
-    let serial = exact_counters(&serial.metrics);
+    let serial = serial.metrics.exact_counters();
 
     for threads in [2, 4] {
         let unguarded = Arc::new(QueryGuard::unlimited());
@@ -363,7 +349,7 @@ fn dying_worker_io_still_lands_in_the_session_tap() {
                 | (
                     "batch",
                     EngineError::Guard { breach: GuardBreach::BatchBudget { .. }, partial },
-                ) => exact_counters(&partial),
+                ) => partial.exact_counters(),
                 (kind, other) => panic!("{at}: expected a {kind} breach, got {other}"),
             };
             let global = db.store().stats().snapshot().since(&global_before);

@@ -3,7 +3,8 @@
 //! usage or I/O errors — across every subcommand — plus the shape of
 //! the machine-readable `--json` output CI depends on.
 
-use std::process::{Command, Output};
+use std::io::Write;
+use std::process::{Command, Output, Stdio};
 
 fn planlint(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_planlint")).args(args).output().expect("planlint binary runs")
@@ -47,6 +48,38 @@ fn usage_errors_exit_two() {
         let out = planlint(args);
         assert_eq!(code(&out), 2, "args {args:?} must be a usage error");
     }
+}
+
+/// Both binaries read algorithm names through the one spelling table
+/// in core, so they reject an unknown name with the same message; the
+/// interactive shell's former short forms are unknown names too.
+#[test]
+fn cli_and_planlint_reject_the_same_unknown_algorithm() {
+    let message = "bogus".parse::<sjos::Algorithm>().unwrap_err();
+    let out = planlint(&["--query", "//a/b/c", "--algo", "bogus"]);
+    assert_eq!(code(&out), 2);
+    assert!(String::from_utf8_lossy(&out.stderr).contains(&message), "planlint: {out:?}");
+
+    let mut cli = Command::new(env!("CARGO_BIN_EXE_sjos-cli"))
+        .args(["--gen", "pers:200"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("sjos-cli binary runs");
+    cli.stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(b"\\algo bogus\n\\algo ld\n\\algo eb:2\n\\algo dpap-eb:2\n\\quit\n")
+        .expect("stdin accepts the script");
+    let out = cli.wait_with_output().expect("sjos-cli exits");
+    assert!(out.status.success());
+    let shown = stdout(&out);
+    assert!(shown.contains(&message), "sjos-cli: {shown}");
+    for short in ["ld", "eb:2"] {
+        let rejected = short.parse::<sjos::Algorithm>().unwrap_err();
+        assert!(shown.contains(&rejected), "sjos-cli accepted {short}: {shown}");
+    }
+    assert!(shown.contains("optimizer: DPAP-EB"), "sjos-cli: {shown}");
 }
 
 #[test]

@@ -21,6 +21,7 @@ use sjos::{
     Algorithm, Database, EngineError, ExecOptions, GuardBreach, PlanNode, QueryGuard, QueryResult,
     SpillPolicy,
 };
+use sjos_exec::tuple::WIDE_BYTES;
 use sjos_exec::{naive, CancelToken, JoinAlgo, BATCH_ROWS};
 use sjos_pattern::{Axis, Pattern, PnId};
 use sjos_xml::{Document, DocumentBuilder};
@@ -235,8 +236,10 @@ fn starved_guard_query_completes_bit_identically_via_spill() {
     // Same budget, spill allowed: the query completes, bit-identical,
     // actually spilling, with the resident peak inside the certificate.
     // The mid-point run is held to its own policy's certificate.
+    // The sort prices its input rows as certified.
+    let row_bytes = usize::try_from(floor.operators[1].row_bytes).unwrap();
     let spill_at = |budget: usize| {
-        let policy = SpillPolicy::for_budget(budget, 2, BATCH_ROWS)
+        let policy = SpillPolicy::for_budget(budget, 2, row_bytes, BATCH_ROWS)
             .expect("a budget at or above the spill certificate admits a policy");
         spilling(Arc::new(QueryGuard::unlimited().with_memory_budget(budget)), policy)
     };
@@ -388,7 +391,8 @@ proptest! {
         let width = pattern.len();
 
         let guard = Arc::new(QueryGuard::unlimited().with_memory_budget(budget));
-        let policy = SpillPolicy::for_budget(budget, width, batch_rows)
+        // Priced wide: an upper bound for any column layout.
+        let policy = SpillPolicy::for_budget(budget, width, width * WIDE_BYTES, batch_rows)
             .unwrap_or_else(|| SpillPolicy::with_threshold(0));
         match run(&db, &pattern, &plan, &ExecOptions { batch_rows, ..spilling(guard, policy) }) {
             Ok(result) => {

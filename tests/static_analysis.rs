@@ -1,11 +1,12 @@
 //! End-to-end static analysis over the paper's Table-1 workloads:
 //! the order-property dataflow pass proves FP plans pipeline-safe
-//! without execution (and execution agrees), DPP search traces
-//! certify admissible on all three generated corpora, doctored traces
+//! without execution (and execution agrees), the search traces of the
+//! optimizer that runs certify admissible on all three generated
+//! corpora, doctored traces
 //! are rejected with typed diagnostics, and seeded plan mutations are
 //! caught statically by the PL04x rules.
 
-use sjos::core::{mutate_plan, Algorithm, PlanMutation};
+use sjos::core::{mutate_plan, optimize, Algorithm, OptimizerStats, PlanMutation, TraceEvent};
 use sjos::datagen::{dblp::dblp, mbench::mbench, paper_queries, pers::pers, DataSet, GenConfig};
 use sjos::Database;
 use sjos_planck::{
@@ -31,8 +32,7 @@ fn fp_plans_proved_pipelined_statically_and_dynamically() {
         let db = &dbs.iter().find(|(ds, _)| *ds == q.dataset).unwrap().1;
         let pattern = q.pattern();
         let plan = db.optimize(&pattern, Algorithm::Fp).unwrap_or_else(|e| panic!("{}: {e}", q.id));
-        let expect = PlanExpectations { fully_pipelined: true, left_deep: false };
-        let analysis = analyze_plan(&pattern, &plan.plan, expect);
+        let analysis = analyze_plan(&pattern, &plan.plan, PlanExpectations::of(Algorithm::Fp));
         assert!(analysis.proved_pipelined, "{}: FP plan not proved pipelined", q.id);
         assert!(
             !analysis.report.violates(Rule::StaticNonBlocking),
@@ -50,30 +50,56 @@ fn fp_plans_proved_pipelined_statically_and_dynamically() {
     }
 }
 
-/// Honest DPP (and DP) search traces over every paper query certify
-/// admissible on all three corpora.
+/// Search traces are recorded by the `optimize` that runs: over every
+/// paper query on all three corpora, the traced run returns the plan,
+/// cost and search counters of an untraced one, and its trace's
+/// optimum is that cost. The DP, DPP, DPP′ and DPAP-LD traces certify
+/// admissible; a DPAP-EB trace whose expansion budget cut branches off
+/// is reported under PL053 (`trace-complete`) and nothing else.
 #[test]
 fn search_traces_certify_clean_on_all_datasets() {
     let dbs = databases();
+    let (mut clean, mut budget_cut) = (0, 0);
     for q in paper_queries() {
         let db = &dbs.iter().find(|(ds, _)| *ds == q.dataset).unwrap().1;
         let pattern = q.pattern();
         let estimates = db.estimates(&pattern);
         let model = *db.cost_model();
-        for algorithm in [Algorithm::Dp, Algorithm::Dpp { lookahead: true }] {
-            let trace = record_search_trace(&pattern, &estimates, &model, algorithm)
-                .unwrap_or_else(|e| panic!("{}: {e}", q.id));
-            assert!(!trace.events.is_empty(), "{}: empty trace", q.id);
-            let report = certify_trace(&pattern, &estimates, &model, &trace);
-            assert!(
-                report.is_clean(),
-                "{}/{}: honest trace rejected\n{}",
-                q.id,
-                algorithm.name(),
-                report.render()
+        for algorithm in [
+            Algorithm::Dp,
+            Algorithm::Dpp { lookahead: true },
+            Algorithm::Dpp { lookahead: false },
+            Algorithm::DpapLd,
+            Algorithm::DpapEb { te: 1 },
+            Algorithm::DpapEb { te: 2 },
+        ] {
+            let at = format!("{}/{algorithm:?}", q.id);
+            let (traced, trace) = record_search_trace(&pattern, &estimates, &model, algorithm)
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            let plain = optimize(&pattern, &estimates, &model, algorithm).unwrap();
+            assert_eq!(traced.plan, plain.plan, "{at}: tracing changed the plan");
+            assert_eq!(
+                traced.estimated_cost, plain.estimated_cost,
+                "{at}: tracing changed the cost"
             );
+            let effort = |s: &OptimizerStats| {
+                (s.plans_considered, s.statuses_generated, s.statuses_expanded)
+            };
+            assert_eq!(effort(&traced.stats), effort(&plain.stats), "{at}: tracing changed effort");
+            assert_eq!(trace.optimum, plain.estimated_cost, "{at}: trace optimum");
+            assert!(!trace.events.is_empty(), "{at}: empty trace");
+            let report = certify_trace(&pattern, &estimates, &model, &trace);
+            if trace.count(|e| matches!(e, TraceEvent::BudgetSkipped { .. })) > 0 {
+                assert!(matches!(algorithm, Algorithm::DpapEb { .. }), "{at}: budget cutoff");
+                assert_eq!(report.rules(), [Rule::TraceComplete], "{at}\n{}", report.render());
+                budget_cut += 1;
+            } else {
+                assert!(report.is_clean(), "{at}: honest trace rejected\n{}", report.render());
+                clean += 1;
+            }
         }
     }
+    assert_eq!((clean, budget_cut), (34, 14), "traces certified clean / cut by the budget");
 }
 
 /// A trace whose ubCost entries were inflated after the fact — the
@@ -87,7 +113,7 @@ fn corrupted_traces_are_rejected_with_typed_diagnostics() {
         let pattern = q.pattern();
         let estimates = db.estimates(&pattern);
         let model = *db.cost_model();
-        let honest =
+        let (_, honest) =
             record_search_trace(&pattern, &estimates, &model, Algorithm::Dpp { lookahead: true })
                 .unwrap();
         for (corruption, name) in TraceCorruption::ALL {
@@ -107,24 +133,6 @@ fn corrupted_traces_are_rejected_with_typed_diagnostics() {
             );
         }
     }
-}
-
-/// Round-tripping an honest trace through its text serialization does
-/// not change the certifier's verdict: the format carries everything
-/// certification needs.
-#[test]
-fn serialized_traces_certify_identically() {
-    let db = Database::from_document(pers(GenConfig::sized(2_000)));
-    let q = paper_queries().into_iter().find(|q| q.id == "Q.Pers.3.d").unwrap();
-    let pattern = q.pattern();
-    let estimates = db.estimates(&pattern);
-    let model = *db.cost_model();
-    let trace =
-        record_search_trace(&pattern, &estimates, &model, Algorithm::Dpp { lookahead: true })
-            .unwrap();
-    let reparsed = sjos::core::SearchTrace::from_text(&trace.to_text()).unwrap();
-    let report = certify_trace(&pattern, &estimates, &model, &reparsed);
-    assert!(report.is_clean(), "{}", report.render());
 }
 
 /// At least one seeded plan mutation per paper query is rejected by
