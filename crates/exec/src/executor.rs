@@ -62,9 +62,9 @@ impl QueryResult {
 }
 
 /// How one execution runs. [`execute`] takes it, and planck derives a
-/// plan's certificate from the same value (`analyze_bounds`, `admit`,
-/// `lint_bound_soundness`), so an admitted plan runs under exactly the
-/// options it was certified for.
+/// plan's certificate from the same value (`analyze_bounds`, `admit`)
+/// and replays the plan under it (`replay`), so an admitted plan runs
+/// under exactly the options it was certified for.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Resource guard checked at every batch boundary of every morsel:

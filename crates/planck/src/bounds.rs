@@ -19,12 +19,13 @@
 //! [`analyze_bounds`] caps every sort at the policy's resident
 //! footprint (the rest of the input lives in temp pages), [`admit`]
 //! compares that resident bound against the same budgets (PL066), and
-//! [`lint_bound_soundness`] replays spill-mode executions to certify
-//! the cap is a real upper bound (PL067). With more than one worker,
+//! [`Replay::within`] checks spill-mode replays to certify the cap is a
+//! real upper bound (PL067). With more than one worker,
 //! [`ResourceBounds::scaled`] multiplies the bounds by the worker
 //! count before either comparison.
 //!
 //! [`SpillPolicy`]: sjos_exec::SpillPolicy
+//! [`Replay::within`]: crate::Replay::within
 //!
 //! ## The interval lattice
 //!
@@ -74,14 +75,13 @@
 #![warn(clippy::cast_possible_truncation)]
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use sjos_core::CostModel;
 use sjos_exec::tuple::row_bytes;
-use sjos_exec::{execute, EngineError, ExecOptions, JoinAlgo, PlanNode, QueryGuard};
+use sjos_exec::{ExecOptions, JoinAlgo, PlanNode, QueryGuard};
 use sjos_pattern::{Axis, NodeSet, Pattern, PnId};
 use sjos_stats::PatternEstimates;
-use sjos_storage::{XmlStore, PAGE_SIZE};
+use sjos_storage::PAGE_SIZE;
 
 use crate::diag::{Report, Rule};
 
@@ -610,105 +610,17 @@ pub fn revalidate_cached(
     report
 }
 
-/// PL064, or PL067 under a spill policy (dynamic, in the style of
-/// PL034): execute `plan` against `store` under `opts` and check that
-/// every morsel's observed peak buffering stays inside `bounds`, the
-/// batch pulls inside [`ResourceBounds::scaled`], and the output
-/// cardinality inside the root interval. A spill-mode run must also
-/// release every temp page it borrowed.
-///
-/// `bounds` must come from [`analyze_bounds`] with the same `opts`, or
-/// the comparison is meaningless. The run uses `opts.guard` when set
-/// (pulls are counted from the call on), else a fresh unlimited one.
-///
-/// # Errors
-/// Propagates execution failures ([`EngineError`]) — a failed run
-/// proves nothing about the bounds.
-pub fn lint_bound_soundness(
-    store: &XmlStore,
-    pattern: &Pattern,
-    bounds: &ResourceBounds,
-    plan: &PlanNode,
-    opts: &ExecOptions,
-) -> Result<Report, EngineError> {
-    let guard = opts.guard.clone().unwrap_or_else(|| Arc::new(QueryGuard::unlimited()));
-    let pulled_before = guard.batches_pulled();
-    let pages_before = store.spill().live_pages();
-    let run = ExecOptions { guard: Some(Arc::clone(&guard)), ..opts.clone() };
-    let outcome = execute(store, pattern, plan, &run)?;
-    let (rule, peak_what, bound_what) = if opts.spill.is_some() {
-        (Rule::SpillBoundSound, "observed resident peak", "spill-capped static bound")
-    } else {
-        (Rule::BoundSound, "observed peak", "static bound")
-    };
-    let mut report = Report::default();
-    let peak = outcome.morsel_snapshots.iter().map(|m| m.peak_bytes).max().unwrap_or(0);
-    if peak > bounds.peak_bytes {
-        report.push(
-            rule,
-            "root",
-            format!("{peak_what} {peak} B exceeds the {bound_what} {} B", bounds.peak_bytes),
-        );
-    }
-    let pulled = guard.batches_pulled() - pulled_before;
-    let (_, pull_bound) = bounds.scaled(opts);
-    if pulled > pull_bound {
-        report.push(
-            rule,
-            "root",
-            format!("observed {pulled} batch pulls exceed the static bound {pull_bound}"),
-        );
-    }
-    let root = bounds.root_rows();
-    let rows = outcome.result.metrics.output_tuples;
-    if rows < root.lo || rows > root.hi {
-        report.push(
-            rule,
-            "root",
-            format!("{rows} output rows fall outside the root interval [{}, {}]", root.lo, root.hi),
-        );
-    }
-    let pages_after = store.spill().live_pages();
-    if opts.spill.is_some() && pages_after > pages_before {
-        report.push(
-            rule,
-            "root",
-            format!(
-                "run leaked {} temp pages ({pages_before} live before, {pages_after} after)",
-                pages_after - pages_before
-            ),
-        );
-    }
-    Ok(report)
-}
-
-/// One-call convenience: analyze, lint the lattice (PL060/PL061),
-/// and replay for soundness (PL064) at the default batch size.
-///
-/// # Errors
-/// Propagates execution failures ([`EngineError`]).
-pub fn lint_resources(
-    store: &XmlStore,
-    pattern: &Pattern,
-    estimates: &PatternEstimates,
-    model: &CostModel,
-    plan: &PlanNode,
-) -> Result<(ResourceBounds, Report), EngineError> {
-    let opts = ExecOptions::default();
-    let (bounds, mut report) = lint_bounds(pattern, estimates, model, plan, opts.batch_rows);
-    let dynamic = lint_bound_soundness(store, pattern, &bounds, plan, &opts)?;
-    report.absorb("replay", dynamic);
-    Ok((bounds, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec_rules::replay;
     use sjos_exec::tuple::{NARROW_BYTES, WIDE_BYTES};
     use sjos_exec::{SpillPolicy, BATCH_ROWS};
     use sjos_pattern::parse_pattern;
     use sjos_stats::Catalog;
+    use sjos_storage::XmlStore;
     use sjos_xml::Document;
+    use std::sync::Arc;
 
     fn setup(xml: &str, query: &str) -> (XmlStore, Pattern, PatternEstimates, CostModel) {
         let doc = Document::parse(xml).unwrap();
@@ -879,8 +791,8 @@ mod tests {
         );
         assert_eq!(wide.operators[0].row_bytes, 6 * w);
         assert!(bounds.peak_bytes < wide.peak_bytes);
-        let replay = lint_bound_soundness(&store, &pattern, &bounds, &plan, &opts).unwrap();
-        assert!(replay.is_clean(), "{replay}");
+        let report = replay(&store, &pattern, &plan, &opts).unwrap().within(&bounds, &opts);
+        assert!(report.is_clean(), "{report}");
         // Whatever the optimizer picks, the certified root row is
         // 6 × 4 B.
         for alg in [Algorithm::Dpp { lookahead: true }, Algorithm::Fp] {
@@ -899,7 +811,8 @@ mod tests {
             let plan = join(left, scan(2), 1, 2, Axis::Child, JoinAlgo::StackTreeDesc);
             for rows in [1usize, 3, BATCH_ROWS] {
                 let b = analyze_bounds(&pattern, &est, &model, &plan, &at(rows));
-                let report = lint_bound_soundness(&store, &pattern, &b, &plan, &at(rows)).unwrap();
+                let report =
+                    replay(&store, &pattern, &plan, &at(rows)).unwrap().within(&b, &at(rows));
                 assert!(report.is_clean(), "{algo:?} at batch_rows={rows}: {report}");
             }
         }
@@ -1051,7 +964,7 @@ mod tests {
             for rows in [1, 3, BATCH_ROWS] {
                 let opts = spill_at(rows, SpillPolicy::with_threshold(threshold));
                 let b = analyze_bounds(&pattern, &est, &model, &plan, &opts);
-                let report = lint_bound_soundness(&store, &pattern, &b, &plan, &opts).unwrap();
+                let report = replay(&store, &pattern, &plan, &opts).unwrap().within(&b, &opts);
                 assert!(report.is_clean(), "threshold={threshold} batch_rows={rows}: {report}");
                 assert_eq!(store.spill().live_pages(), 0, "replay leaked temp pages");
             }

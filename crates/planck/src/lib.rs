@@ -15,10 +15,13 @@
 //! * the optimizers agree where theory says they must — DPP equals
 //!   DP, heuristics never undercut the optimum, FP is the cheapest
 //!   sort-free stack-tree plan, `ubCost` is well-shaped (PL030–PL033);
-//! * the vectorized engine honors its batch contract — one *dynamic*
-//!   rule (PL034, [`lint_execution`]) runs the plan and checks that
-//!   root batches arrive sorted by the claimed ordering node and that
-//!   batch row counts reconcile with the tuple counters;
+//! * the vectorized engine honors its batch contract — the *dynamic*
+//!   rules check a [`Replay`], one execution that [`replay`] records
+//!   (the only place planck runs a plan): PL034 ([`lint_replayed`])
+//!   checks that root batches arrive sorted by the claimed ordering
+//!   node and that batch row counts reconcile with the tuple counters,
+//!   and PL035 ([`lint_error_surfacing`]) replays the plan on a
+//!   fault-armed store copy and demands a typed storage error;
 //! * physical order properties are *provable*, not just declared — an
 //!   order-property dataflow pass ([`analyze_plan`]) propagates
 //!   sorted-by/duplicate-free/document-order/blocking-free facts
@@ -35,20 +38,20 @@
 //!   catalog's exact index statistics and derives worst-case peak
 //!   buffering bytes and batch-pull counts, which [`admit`] compares
 //!   against [`sjos_exec::QueryGuard`] budgets as a static admission
-//!   predicate; one dynamic rule replays executions to certify the
-//!   bounds are never exceeded (PL060–PL064);
+//!   predicate; one dynamic rule ([`Replay::within`]) certifies a
+//!   replay never exceeded the bounds (PL060–PL064);
 //! * memory pressure degrades gracefully instead of rejecting — given
 //!   [`sjos_exec::ExecOptions`] that carry a
 //!   [`sjos_exec::SpillPolicy`], the same analysis caps every sort at
 //!   its resident footprint, [`admit`] turns that into a second-tier
 //!   *degraded* admission predicate for plans the in-memory bound
-//!   rejects, and the same replay certifies the spill cap is a real
+//!   rejects, and the same check certifies the spill cap is a real
 //!   upper bound (PL066–PL067);
 //! * morsel-driven parallel runs are exact, not approximately right —
 //!   [`ResourceBounds::scaled`] multiplies the static bounds by the
 //!   options' worker count before a parallel admission, and a dynamic rule
-//!   ([`lint_partition`], PL068) executes the plan serially and
-//!   partitioned, proves no scanned interval straddles a cut, and
+//!   ([`Replay::matches`], PL068) compares a partitioned replay with a
+//!   serial one, proves no scanned interval straddles a cut, and
 //!   demands outputs and summed work counters match the
 //!   single-threaded run bit for bit;
 //! * the concurrent service stack is interleaving-sound — a
@@ -84,8 +87,8 @@ pub mod status_rules;
 pub mod trace;
 
 pub use bounds::{
-    admit, analyze_bounds, lint_bound_soundness, lint_bounds, lint_resources, revalidate_cached,
-    CardInterval, OperatorBounds, ResourceBounds, DEFAULT_MEMORY_BUDGET,
+    admit, analyze_bounds, lint_bounds, revalidate_cached, CardInterval, OperatorBounds,
+    ResourceBounds, DEFAULT_MEMORY_BUDGET,
 };
 pub use conc::{
     apply_static_mutation, collect_sources, explore, lint_concurrency, lint_sources, ExploreConfig,
@@ -96,7 +99,7 @@ pub use dataflow::{
     analyze_plan, holistic_properties, lint_dataflow, DataflowAnalysis, OrderFact, PlanProperties,
 };
 pub use diag::{rule_catalog_json, Diagnostic, Report, Rule, Severity};
-pub use exec_rules::{lint_batches, lint_error_surfacing, lint_execution, lint_partition};
+pub use exec_rules::{lint_batches, lint_error_surfacing, lint_replayed, replay, Replay};
 pub use plan_rules::{lint_plan, lint_plan_with, PlanExpectations};
 pub use status_rules::{lint_status, lint_status_key};
 pub use trace::{certify_trace, corrupt_trace, record_search_trace, TraceCorruption};

@@ -26,6 +26,7 @@
 //!   and no expansion budget cut branches off.
 
 use std::collections::{HashMap, HashSet};
+use std::str::FromStr;
 
 use sjos_core::status::SearchContext;
 use sjos_core::{
@@ -305,22 +306,33 @@ pub enum TraceCorruption {
 }
 
 impl TraceCorruption {
-    /// Parse a `--corrupt` argument.
-    pub fn parse(text: &str) -> Option<TraceCorruption> {
-        match text {
-            "inflate-ubcost" => Some(TraceCorruption::InflateUbCost),
-            "drop-finalized" => Some(TraceCorruption::DropFinalized),
-            "cheap-prune" => Some(TraceCorruption::CheapPrune),
-            _ => None,
+    /// Every corruption, for exhaustive harnesses.
+    pub const ALL: [TraceCorruption; 3] = [
+        TraceCorruption::InflateUbCost,
+        TraceCorruption::DropFinalized,
+        TraceCorruption::CheapPrune,
+    ];
+
+    /// The corruption's command-line spelling (`planlint --corrupt`).
+    pub fn name(self) -> &'static str {
+        match self {
+            TraceCorruption::InflateUbCost => "inflate-ubcost",
+            TraceCorruption::DropFinalized => "drop-finalized",
+            TraceCorruption::CheapPrune => "cheap-prune",
         }
     }
+}
 
-    /// Every corruption, with its argument spelling.
-    pub const ALL: [(TraceCorruption, &'static str); 3] = [
-        (TraceCorruption::InflateUbCost, "inflate-ubcost"),
-        (TraceCorruption::DropFinalized, "drop-finalized"),
-        (TraceCorruption::CheapPrune, "cheap-prune"),
-    ];
+impl FromStr for TraceCorruption {
+    type Err = String;
+
+    /// Parse a [`TraceCorruption::name`] spelling.
+    fn from_str(name: &str) -> Result<TraceCorruption, String> {
+        TraceCorruption::ALL
+            .into_iter()
+            .find(|c| c.name() == name)
+            .ok_or_else(|| format!("unknown corruption {name}"))
+    }
 }
 
 /// Apply `corruption` to a copy of `trace`.
@@ -477,5 +489,13 @@ mod tests {
         let report = certify_trace(&pattern, &est, &model, &trace);
         assert!(report.violates(Rule::TraceConsistent), "{report}");
         assert!(report.violates(Rule::ClusterPartition) || report.violates(Rule::ClusterOverlap));
+    }
+
+    #[test]
+    fn corruption_names_parse_back() {
+        for corruption in TraceCorruption::ALL {
+            assert_eq!(corruption.name().parse::<TraceCorruption>(), Ok(corruption));
+        }
+        assert_eq!("forge".parse::<TraceCorruption>(), Err("unknown corruption forge".to_string()));
     }
 }

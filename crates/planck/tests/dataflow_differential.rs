@@ -13,8 +13,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sjos_core::{mutate_plan, optimize, random_plan, Algorithm, CostModel, PlanMutation};
+use sjos_exec::{ExecOptions, PlanNode};
 use sjos_pattern::{parse_pattern, Pattern};
-use sjos_planck::{analyze_plan, lint_execution, OrderFact, PlanExpectations, Rule};
+use sjos_planck::{analyze_plan, lint_replayed, replay, OrderFact, PlanExpectations, Report, Rule};
 use sjos_stats::{Catalog, PatternEstimates};
 use sjos_storage::XmlStore;
 use sjos_xml::{Document, DocumentBuilder};
@@ -54,6 +55,11 @@ fn fixture(query: &str) -> Fixture {
     Fixture { store: XmlStore::load(doc), pattern, estimates, model: CostModel::default() }
 }
 
+/// PL034 over one replay of `plan` under the default options.
+fn batch_contract(fx: &Fixture, plan: &PlanNode) -> Report {
+    lint_replayed(&replay(&fx.store, &fx.pattern, plan, &ExecOptions::default()), plan)
+}
+
 const QUERIES: [&str; 4] = ["//a/b/c", "//a//c/d", "//a[./b/c][.//e]", "//a/b/c/d order by a"];
 
 /// Whenever the dataflow pass proves the root stream sorted by the
@@ -74,7 +80,7 @@ fn static_sorted_proof_is_never_contradicted_by_execution() {
                 "{query}/{}: dataflow must prove the declared ordering",
                 algorithm.name()
             );
-            let dynamic = lint_execution(&fx.store, &fx.pattern, &plan);
+            let dynamic = batch_contract(&fx, &plan);
             assert!(
                 !dynamic.violates(Rule::BatchContract),
                 "{query}/{}: static proof contradicted at runtime\n{}",
@@ -99,7 +105,7 @@ fn random_valid_plans_agree_static_and_dynamic() {
             "random_plan inserts sorts; nothing should be unproved\n{}",
             analysis.report.render()
         );
-        let dynamic = lint_execution(&fx.store, &fx.pattern, &plan);
+        let dynamic = batch_contract(&fx, &plan);
         assert!(!dynamic.violates(Rule::BatchContract), "{}", dynamic.render());
     }
 }
@@ -171,7 +177,7 @@ fn mutation_battery_static_proofs_hold_dynamically() {
         // is fine — the proof is about *order*, conditional on
         // executability; an "unsorted root batch" message would be a
         // genuine contradiction.)
-        let dynamic = lint_execution(&fx.store, &fx.pattern, &mutated);
+        let dynamic = batch_contract(&fx, &mutated);
         for d in &dynamic.diagnostics {
             assert!(
                 !d.message.contains("unsorted"),

@@ -31,17 +31,16 @@
 //! Exit status: 0 when clean, 1 when any rule fired, 2 on usage
 //! errors.
 
-use sjos::core::{mutate_plan, Algorithm, PlanMutation};
+use sjos::core::{mutate_plan, Algorithm, PlanMutation, TraceEvent};
 use sjos::datagen::{dblp::dblp, mbench::mbench, pers::pers, GenConfig};
 use sjos::explain::explain;
 use sjos::service::models::{healthy_models, mutated_models};
 use sjos::{Database, Document, ExecOptions, QueryGuard};
 use sjos_planck::{
     admit, analyze_plan, apply_static_mutation, certify_trace, collect_sources, corrupt_trace,
-    explore, lint_bound_soundness, lint_bounds, lint_dataflow, lint_error_surfacing,
-    lint_execution, lint_optimizers, lint_plan_with, lint_sources, record_search_trace,
-    rule_catalog_json, ExploreConfig, PlanExpectations, Report, Rule, StaticMutation,
-    TraceCorruption, DEFAULT_MEMORY_BUDGET,
+    explore, lint_bounds, lint_dataflow, lint_error_surfacing, lint_optimizers, lint_plan_with,
+    lint_replayed, lint_sources, record_search_trace, replay, rule_catalog_json, ExploreConfig,
+    PlanExpectations, Report, Rule, StaticMutation, TraceCorruption, DEFAULT_MEMORY_BUDGET,
 };
 
 /// Fallback document when neither `--xml` nor `--gen` is given: big
@@ -99,12 +98,12 @@ fn main() {
                 "usage: planlint [dataflow|certify|admit|rules|conc] \
                  [--xml <file> | --gen pers:<n>|dblp:<n>|mbench:<n>] \
                  --query <pattern> [--algo {}] \
-                 [--mutate <mutation>] \
-                 [--corrupt inflate-ubcost|drop-finalized|cheap-prune] \
+                 [--mutate <mutation>] [--corrupt {}] \
                  [--memory-budget <bytes|KiB|MiB|GiB>] [--batch-budget <pulls>] \
                  [--batch-rows <n>] [--root <dir>] \
                  [--cross] [--selftest] [--json]",
-                Algorithm::SPELLINGS
+                Algorithm::SPELLINGS,
+                TraceCorruption::ALL.map(TraceCorruption::name).join("|")
             );
             std::process::exit(2);
         }
@@ -340,12 +339,13 @@ fn run(opts: &Options) -> Result<bool, String> {
     // mode asked.
     report.absorb("dataflow", lint_dataflow(&pattern, &plan, expect));
     if opts.mutate.is_none() {
-        // Dynamic half (PL034): run the plan and verify the batch
-        // stream delivers what the static rules proved it claims.
-        report.absorb("exec", lint_execution(db.store(), &pattern, &plan));
-        // Error discipline (PL035): the same plan on a fault-armed
-        // store copy must fail with a typed storage error.
-        report.absorb("exec", lint_error_surfacing(db.store(), &pattern, &plan));
+        // Dynamic half: replay the plan once. PL034 checks that its
+        // batch stream delivers what the static rules proved it
+        // claims; PL035 replays it on a fault-armed store copy, which
+        // must fail with a typed storage error.
+        let run = replay(db.store(), &pattern, &plan, &ExecOptions::default());
+        report.absorb("exec", lint_replayed(&run, &plan));
+        report.absorb("exec", lint_error_surfacing(db.store(), &pattern, &plan, &run));
     }
     if opts.cross {
         let cross = lint_optimizers(&pattern, &estimates, &model);
@@ -365,9 +365,7 @@ fn run_certify(
     let (_, mut trace) = record_search_trace(pattern, estimates, model, opts.algo.parse()?)?;
     let mut label = String::new();
     if let Some(kind) = &opts.corrupt {
-        let corruption =
-            TraceCorruption::parse(kind).ok_or_else(|| format!("unknown corruption {kind}"))?;
-        trace = corrupt_trace(&trace, corruption);
+        trace = corrupt_trace(&trace, kind.parse()?);
         label = format!(", corrupted by {kind}");
     }
     if !opts.json {
@@ -534,9 +532,8 @@ fn run_admit(opts: &Options, db: &Database, pattern: &sjos::Pattern) -> Result<b
     let (bounds, mut report) = lint_bounds(pattern, &estimates, &model, &plan, opts.batch_rows);
     let run = ExecOptions { batch_rows: opts.batch_rows, ..ExecOptions::default() };
     report.absorb("admit", admit(&bounds, &budgeted(&run, memory_budget, opts.batch_budget)));
-    let replay = lint_bound_soundness(db.store(), pattern, &bounds, &plan, &run)
-        .map_err(|e| e.to_string())?;
-    report.absorb("replay", replay);
+    let replayed = replay(db.store(), pattern, &plan, &run).map_err(|e| e.to_string())?;
+    report.absorb("replay", replayed.within(&bounds, &run));
 
     if opts.json {
         println!(
@@ -567,7 +564,9 @@ fn run_admit(opts: &Options, db: &Database, pattern: &sjos::Pattern) -> Result<b
 }
 
 /// Lint every optimizer's plan (must be clean), then every mutation of
-/// the DPP plan (must be caught). Returns overall success.
+/// the DPP plan (must be caught). Each optimizer's plan is replayed
+/// once, and every executing rule checks that replay. Returns overall
+/// success.
 fn selftest(db: &Database, pattern: &sjos::Pattern) -> Result<bool, String> {
     let estimates = db.estimates(pattern);
     let model = *db.cost_model();
@@ -583,33 +582,37 @@ fn selftest(db: &Database, pattern: &sjos::Pattern) -> Result<bool, String> {
         Algorithm::WorstRandom { samples: 16, seed: 42 },
     ];
     println!("== optimizer plans (expected clean) ==");
+    let mut replays = Vec::new();
     for alg in algorithms {
         let expect = PlanExpectations::of(alg);
-        let optimized = match db.optimize(pattern, alg) {
-            Ok(o) => o,
+        let plan = match db.optimize(pattern, alg) {
+            Ok(o) => o.plan,
             Err(e) => {
                 println!("  {:<12} FAILED to optimize: {e}", alg.name());
                 ok = false;
                 continue;
             }
         };
-        let mut report =
-            lint_plan_with(pattern, &optimized.plan, expect, Some((&estimates, &model)));
-        report.absorb("dataflow", lint_dataflow(pattern, &optimized.plan, expect));
-        report.absorb("exec", lint_execution(db.store(), pattern, &optimized.plan));
+        let mut report = lint_plan_with(pattern, &plan, expect, Some((&estimates, &model)));
+        report.absorb("dataflow", lint_dataflow(pattern, &plan, expect));
+        let run = replay(db.store(), pattern, &plan, &ExecOptions::default());
+        report.absorb("exec", lint_replayed(&run, &plan));
         let verdict = if report.is_clean() { "clean" } else { "DIRTY" };
         println!("  {:<12} {verdict}", alg.name());
         if !report.is_clean() {
             print!("{}", report.render());
             ok = false;
         }
+        replays.push((alg, plan, run));
     }
+    let replayed =
+        |alg: Algorithm| replays.iter().find(|(a, ..)| *a == alg).map(|(_, plan, run)| (plan, run));
 
     println!("== order-property dataflow (PL042, FP proved non-blocking statically) ==");
-    match db.optimize(pattern, Algorithm::Fp) {
-        Ok(fp) => {
+    match replayed(Algorithm::Fp) {
+        Some((fp, _)) => {
             let expect = PlanExpectations::of(Algorithm::Fp);
-            let analysis = sjos_planck::analyze_plan(pattern, &fp.plan, expect);
+            let analysis = analyze_plan(pattern, fp, expect);
             if analysis.proved_pipelined && analysis.report.is_clean() {
                 println!("  clean (pipeline safety proved without execution)");
             } else {
@@ -617,27 +620,23 @@ fn selftest(db: &Database, pattern: &sjos::Pattern) -> Result<bool, String> {
                 ok = false;
             }
         }
-        Err(e) => {
-            println!("  FAILED to optimize with FP: {e}");
+        None => {
+            println!("  FAILED to optimize with FP");
             ok = false;
         }
     }
 
     println!("== error surfacing (PL035, expected clean) ==");
-    let base =
-        db.optimize(pattern, Algorithm::Dpp { lookahead: true }).map_err(|e| e.to_string())?.plan;
-    let surfacing = lint_error_surfacing(db.store(), pattern, &base);
-    if surfacing.is_clean() {
-        println!("  clean (fault-armed execution reports a typed storage error)");
-    } else {
-        print!("{}", surfacing.render());
-        ok = false;
-    }
+    let Some((base, base_run)) = replayed(Algorithm::Dpp { lookahead: true }) else {
+        return Err("the DPP plan is needed for the rest of the selftest".into());
+    };
+    let surfacing = lint_error_surfacing(db.store(), pattern, base, base_run);
+    ok &= expect_clean(&surfacing, "clean (fault-armed execution reports a typed storage error)");
 
     println!("== mutated plans (expected caught) ==");
     for mutation in PlanMutation::ALL {
         let name = mutation.name();
-        let Some(mutated) = mutate_plan(pattern, &base, mutation) else {
+        let Some(mutated) = mutate_plan(pattern, base, mutation) else {
             println!("  {name:<18} (not applicable to this plan)");
             continue;
         };
@@ -647,30 +646,21 @@ fn selftest(db: &Database, pattern: &sjos::Pattern) -> Result<bool, String> {
         };
         let mut report = lint_plan_with(pattern, &mutated, expect, Some((&estimates, &model)));
         report.absorb("dataflow", lint_dataflow(pattern, &mutated, expect));
-        if report.is_clean() {
-            println!("  {name:<18} MISSED");
-            ok = false;
-        } else {
-            let rules: Vec<&str> = report.rules().iter().map(|r| r.id()).collect();
-            println!("  {name:<18} caught by {}", rules.join(", "));
-        }
+        ok &= expect_caught(&report, &format!("{name:<18}"), "caught by");
     }
 
     println!("== search-trace certification (expected clean) ==");
-    for algorithm in [Algorithm::Dp, Algorithm::Dpp { lookahead: true }] {
+    for algorithm in [
+        Algorithm::Dp,
+        Algorithm::Dpp { lookahead: true },
+        Algorithm::Dpp { lookahead: false },
+        Algorithm::DpapLd,
+    ] {
         match record_search_trace(pattern, &estimates, &model, algorithm) {
             Ok((_, trace)) => {
                 let report = certify_trace(pattern, &estimates, &model, &trace);
-                if report.is_clean() {
-                    println!(
-                        "  {:<12} certified ({} events)",
-                        algorithm.name(),
-                        trace.events.len()
-                    );
-                } else {
-                    print!("{}", report.render());
-                    ok = false;
-                }
+                let certified = format!("certified ({} events)", trace.events.len());
+                ok &= expect_clean(&report, format!("{:<12} {certified}", algorithm.name()));
             }
             Err(e) => {
                 println!("  {:<12} FAILED to record a trace: {e}", algorithm.name());
@@ -679,74 +669,77 @@ fn selftest(db: &Database, pattern: &sjos::Pattern) -> Result<bool, String> {
         }
     }
 
+    println!("== budget-cut search trace (T_e = 1, expected PL053 alone) ==");
+    let eb = Algorithm::DpapEb { te: 1 };
+    let (_, cut) = record_search_trace(pattern, &estimates, &model, eb)?;
+    let cutoffs = cut.count(|e| matches!(e, TraceEvent::BudgetSkipped { .. }));
+    let report = certify_trace(pattern, &estimates, &model, &cut);
+    if cutoffs == 0 {
+        println!("  {:<12} (no expansion-budget cutoff on this query)", eb.name());
+    } else if report.rules() == [Rule::TraceComplete] {
+        println!("  {:<12} reported by PL053 ({cutoffs} expansion-budget cutoff(s))", eb.name());
+    } else {
+        println!("  {:<12} MISSED", eb.name());
+        print!("{}", report.render());
+        ok = false;
+    }
+
     println!("== corrupted traces (expected caught) ==");
     let (_, honest) =
         record_search_trace(pattern, &estimates, &model, Algorithm::Dpp { lookahead: true })?;
-    for (corruption, name) in TraceCorruption::ALL {
+    for corruption in TraceCorruption::ALL {
+        let name = corruption.name();
         let doctored = corrupt_trace(&honest, corruption);
         let report = certify_trace(pattern, &estimates, &model, &doctored);
-        if report.is_clean() {
-            println!("  {name:<18} MISSED");
-            ok = false;
-        } else {
-            let rules: Vec<&str> = report.rules().iter().map(|r| r.id()).collect();
-            println!("  {name:<18} caught by {}", rules.join(", "));
-        }
+        ok &= expect_caught(&report, &format!("{name:<18}"), "caught by");
     }
 
     println!("== optimizer cross-checks ==");
-    let cross: Report = lint_optimizers(pattern, &estimates, &model);
-    if cross.is_clean() {
-        println!("  clean");
-    } else {
-        print!("{}", cross.render());
-        ok = false;
-    }
+    ok &= expect_clean(&lint_optimizers(pattern, &estimates, &model), "clean");
 
     println!("== resource bounds (PL060-PL064, expected admissible) ==");
+    let run = ExecOptions::default();
     for algorithm in [Algorithm::Dpp { lookahead: true }, Algorithm::Fp] {
-        let plan = match db.optimize(pattern, algorithm) {
-            Ok(o) => o.plan,
-            Err(e) => {
-                println!("  {:<12} FAILED to optimize: {e}", algorithm.name());
-                ok = false;
-                continue;
-            }
+        let Some((plan, Ok(replayed))) = replayed(algorithm) else {
+            println!("  {:<12} FAILED to optimize or replay", algorithm.name());
+            ok = false;
+            continue;
         };
         let (bounds, mut report) =
-            lint_bounds(pattern, &estimates, &model, &plan, sjos::exec::BATCH_ROWS);
-        let run = ExecOptions::default();
+            lint_bounds(pattern, &estimates, &model, plan, sjos::exec::BATCH_ROWS);
         report.absorb("admit", admit(&bounds, &budgeted(&run, DEFAULT_MEMORY_BUDGET, None)));
-        match lint_bound_soundness(db.store(), pattern, &bounds, &plan, &run) {
-            Ok(replay) => report.absorb("replay", replay),
-            Err(e) => {
-                println!("  {:<12} FAILED to replay: {e}", algorithm.name());
-                ok = false;
-                continue;
-            }
-        }
-        if report.is_clean() {
-            println!(
-                "  {:<12} admitted (peak bound {} B, {} pulls)",
-                algorithm.name(),
-                bounds.peak_bytes,
-                bounds.batch_pulls
-            );
-        } else {
-            print!("{}", report.render());
-            ok = false;
-        }
+        report.absorb("replay", replayed.within(&bounds, &run));
+        let admitted =
+            format!("admitted (peak bound {} B, {} pulls)", bounds.peak_bytes, bounds.batch_pulls);
+        ok &= expect_clean(&report, format!("{:<12} {admitted}", algorithm.name()));
     }
 
     println!("== starved budget (expected rejected) ==");
-    let (bounds, _) = lint_bounds(pattern, &estimates, &model, &base, sjos::exec::BATCH_ROWS);
-    let starved = admit(&bounds, &budgeted(&ExecOptions::default(), 1, Some(1)));
-    if starved.is_clean() {
-        println!("  1 B / 1 pull budget MISSED");
-        ok = false;
-    } else {
-        let rules: Vec<&str> = starved.rules().iter().map(|r| r.id()).collect();
-        println!("  1 B / 1 pull budget rejected by {}", rules.join(", "));
-    }
+    let (bounds, _) = lint_bounds(pattern, &estimates, &model, base, sjos::exec::BATCH_ROWS);
+    let starved = admit(&bounds, &budgeted(&run, 1, Some(1)));
+    ok &= expect_caught(&starved, "1 B / 1 pull budget", "rejected by");
     Ok(ok)
+}
+
+/// Print `clean` when `report` is clean, else the report; returns
+/// whether it was clean.
+fn expect_clean(report: &Report, clean: impl std::fmt::Display) -> bool {
+    if report.is_clean() {
+        println!("  {clean}");
+    } else {
+        print!("{}", report.render());
+    }
+    report.is_clean()
+}
+
+/// Print the rules that `verb` the seeded defect `label`, or MISSED
+/// when `report` came back clean; returns whether it was caught.
+fn expect_caught(report: &Report, label: &str, verb: &str) -> bool {
+    let rules: Vec<&str> = report.rules().iter().map(|r| r.id()).collect();
+    if rules.is_empty() {
+        println!("  {label} MISSED");
+    } else {
+        println!("  {label} {verb} {}", rules.join(", "));
+    }
+    !rules.is_empty()
 }

@@ -1,10 +1,12 @@
 //! Differential testing of the batched executor: over seeded generated
 //! documents, every optimizer's plan — plus seeded random valid plans —
-//! executed at several batch granularities must return exactly the
-//! bindings the naive navigational evaluator finds, and the stack
-//! traffic counters must not move with the batch size. A query result
-//! keeps the root's batches as emitted, so result equality must not
-//! see where those batches break — across granularities or morsels.
+//! replayed at several batch granularities must return exactly the
+//! bindings the naive navigational evaluator finds, and the replays
+//! must match each other under planck's PL068 check: the same row
+//! sequence and the same exact work counters whatever the batch size.
+//! A query result keeps the root's batches as emitted, so result
+//! equality must not see where those batches break — across
+//! granularities or morsels.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -13,6 +15,7 @@ use sjos::core::random_plan;
 use sjos::datagen::{
     dblp::dblp, fold_document, mbench::mbench, paper_queries, pers::pers, GenConfig,
 };
+use sjos::planck::{replay, Replay};
 use sjos::{Algorithm, Database, ExecOptions, PlanNode};
 use sjos_exec::{naive, JoinAlgo, BATCH_ROWS};
 
@@ -44,23 +47,21 @@ fn check(db: &Database, query: &str, seed: u64) {
     }
 
     for (name, plan) in &plans {
-        let mut stack_traffic = Vec::new();
+        let mut reference: Option<Replay> = None;
         for &rows in &BATCH_SIZES {
+            let at = format!("{query} via {name} at batch_rows={rows} (seed {seed})");
             let opts = ExecOptions { batch_rows: rows, ..ExecOptions::default() };
-            let result = db
-                .execute(&pattern, plan, &opts)
-                .unwrap_or_else(|e| panic!("{query} via {name}: {e}"));
-            assert_eq!(
-                result.canonical_rows(),
-                expected,
-                "{query} via {name} at batch_rows={rows} (seed {seed})"
-            );
-            stack_traffic.push((result.metrics.stack_pushes, result.metrics.stack_pops));
+            let run =
+                replay(db.store(), &pattern, plan, &opts).unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert_eq!(run.outcome.result.canonical_rows(), expected, "{at}");
+            match &reference {
+                Some(first) => {
+                    let report = run.matches(first, db.store(), &pattern, plan);
+                    assert!(report.is_clean(), "{at}: counters or rows moved:\n{report}");
+                }
+                None => reference = Some(run),
+            }
         }
-        assert!(
-            stack_traffic.windows(2).all(|w| w[0] == w[1]),
-            "{query} via {name}: stack traffic varies with batch size: {stack_traffic:?}"
-        );
     }
 }
 
@@ -112,7 +113,8 @@ fn uses_anc(plan: &PlanNode) -> bool {
 /// dominated before results kept their batches), run at batch_rows
 /// 1, 7 and 1024 and as a 2-worker morsel run: the results hold
 /// differently broken batch lists yet must compare equal, row for
-/// row, and give identical canonical rows.
+/// row (the row-sequence half of PL068), and give identical canonical
+/// rows.
 #[test]
 fn results_compare_equal_however_batches_break() {
     let mut saw_anc = false;
@@ -129,16 +131,22 @@ fn results_compare_equal_however_batches_break() {
         for alg in [Algorithm::Dpp { lookahead: true }, Algorithm::Fp] {
             let plan = db.optimize(&pattern, alg).expect("optimizes").plan;
             saw_anc |= uses_anc(&plan);
-            let base = db.execute(&pattern, &plan, &ExecOptions::default()).unwrap();
-            assert!(base.tuples.len() > 7, "{id}: fixture must span several 7-row batches");
-            let canonical = base.canonical_rows();
+            let run = |opts: &ExecOptions| replay(db.store(), &pattern, &plan, opts).unwrap();
+            let base = run(&ExecOptions::default());
+            let rows_of = |r: &Replay| r.outcome.result.canonical_rows();
+            assert!(base.outcome.result.len() > 7, "{id}: fixture must span several 7-row batches");
+            let canonical = rows_of(&base);
             let mut batch_counts = Vec::new();
             for rows in [1, 7, BATCH_ROWS] {
-                let opts = ExecOptions { batch_rows: rows, ..ExecOptions::default() };
-                let r = db.execute(&pattern, &plan, &opts).unwrap();
-                batch_counts.push(r.tuples.batches().len());
-                assert_eq!(r.tuples, base.tuples, "{id} via {} at batch_rows={rows}", alg.name());
-                assert_eq!(r.canonical_rows(), canonical, "{id} at batch_rows={rows}");
+                let r = run(&ExecOptions { batch_rows: rows, ..ExecOptions::default() });
+                batch_counts.push(r.outcome.result.tuples.batches().len());
+                let report = r.matches(&base, db.store(), &pattern, &plan);
+                assert!(
+                    report.is_clean(),
+                    "{id} via {} at batch_rows={rows}: {report}",
+                    alg.name()
+                );
+                assert_eq!(rows_of(&r), canonical, "{id} at batch_rows={rows}");
             }
             // A Desc batch overshoots its target by one descendant's
             // matches, so 1 and 7 may break alike; 1 and 1024 cannot.
@@ -146,11 +154,11 @@ fn results_compare_equal_however_batches_break() {
                 batch_counts[0] > batch_counts[2],
                 "{id}: the batch lists must break differently: {batch_counts:?}"
             );
-            let two = ExecOptions { threads: 2, ..ExecOptions::default() };
-            let par = sjos::execute(db.store(), &pattern, &plan, &two).unwrap();
-            assert!(par.morsel_count() > 1, "{id}: folded corpus must split");
-            assert_eq!(par.result.tuples, base.tuples, "{id} via {}: 2 workers", alg.name());
-            assert_eq!(par.result.canonical_rows(), canonical, "{id}: 2 workers");
+            let par = run(&ExecOptions { threads: 2, ..ExecOptions::default() });
+            assert!(par.outcome.morsel_count() > 1, "{id}: folded corpus must split");
+            let report = par.matches(&base, db.store(), &pattern, &plan);
+            assert!(report.is_clean(), "{id} via {}: 2 workers: {report}", alg.name());
+            assert_eq!(rows_of(&par), canonical, "{id}: 2 workers");
         }
     }
     assert!(saw_anc, "at least one plan must exercise Stack-Tree-Anc");

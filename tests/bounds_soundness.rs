@@ -15,7 +15,7 @@ use sjos::datagen::{dblp::dblp, mbench::mbench, paper_queries, pers::pers, DataS
 use std::sync::Arc;
 
 use sjos::{Algorithm, Database, ExecOptions, Pattern, PlanNode, QueryGuard, BATCH_ROWS};
-use sjos_planck::{admit, lint_bound_soundness, lint_bounds, Rule, DEFAULT_MEMORY_BUDGET};
+use sjos_planck::{admit, lint_bounds, replay, Rule, DEFAULT_MEMORY_BUDGET};
 
 /// Granularities under test: degenerate tuple-at-a-time, an awkward
 /// size that never divides the row counts, and production.
@@ -52,9 +52,10 @@ fn check_plan(db: &Database, pattern: &Pattern, plan: &PlanNode, label: &str) {
         let (bounds, report) = lint_bounds(pattern, &estimates, &model, plan, rows);
         assert!(report.is_clean(), "{label} at batch_rows={rows}: {report}");
         let opts = ExecOptions { batch_rows: rows, ..ExecOptions::default() };
-        let replay = lint_bound_soundness(db.store(), pattern, &bounds, plan, &opts)
-            .unwrap_or_else(|e| panic!("{label} at batch_rows={rows}: {e}"));
-        assert!(replay.is_clean(), "{label} at batch_rows={rows}: {replay}");
+        let report = replay(db.store(), pattern, plan, &opts)
+            .unwrap_or_else(|e| panic!("{label} at batch_rows={rows}: {e}"))
+            .within(&bounds, &opts);
+        assert!(report.is_clean(), "{label} at batch_rows={rows}: {report}");
     }
 }
 

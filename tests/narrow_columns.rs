@@ -4,10 +4,11 @@
 //! plans (which mix Stack-Tree-Anc, Stack-Tree-Desc, MPMGJN-free sorts
 //! and bushy shapes), at every batch size, thread count and spill
 //! setting, runs once narrow (the default) and once with every column
-//! wide. The two runs must emit the same rows in the same order, cut
-//! the same morsels, and agree on every counter — per morsel and
-//! merged, spill page traffic included — except `peak_bytes`, which
-//! narrowing may only lower.
+//! wide. The two replays must match under planck's PL068 check (the
+//! same rows in the same order, exact counters, valid cuts), cut the
+//! same morsels, and agree on every counter — per morsel and merged,
+//! spill page traffic included — except `peak_bytes`, which narrowing
+//! may only lower.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,6 +17,7 @@ use sjos::core::random_plan;
 use sjos::datagen::{
     dblp::dblp, fold_document, mbench::mbench, paper_queries, pers::pers, DataSet, GenConfig,
 };
+use sjos::planck::replay;
 use sjos::{Algorithm, Database, ExecOptions, PlanNode, SpillPolicy};
 use sjos_exec::{MetricsSnapshot, BATCH_ROWS};
 
@@ -79,11 +81,13 @@ fn check_dataset(ds: DataSet) {
                             narrow,
                             ..ExecOptions::default()
                         };
-                        sjos::execute(db.store(), &pattern, plan, &opts)
+                        replay(db.store(), &pattern, plan, &opts)
                             .unwrap_or_else(|e| panic!("{at} (narrow {narrow}): {e}"))
                     };
                     let (n, w) = (run(true), run(false));
-                    assert_eq!(n.result.tuples, w.result.tuples, "{at}: rows or order differ");
+                    let report = n.matches(&w, db.store(), &pattern, plan);
+                    assert!(report.is_clean(), "{at}: rows, order or counters differ:\n{report}");
+                    let (n, w) = (n.outcome, w.outcome);
                     assert_eq!(n.cuts, w.cuts, "{at}: morsels differ");
                     assert_eq!(n.morsel_count(), w.morsel_count(), "{at}");
                     for (k, (nm, wm)) in

@@ -8,9 +8,9 @@
 
 use sjos::core::{mutate_plan, optimize, Algorithm, OptimizerStats, PlanMutation, TraceEvent};
 use sjos::datagen::{dblp::dblp, mbench::mbench, paper_queries, pers::pers, DataSet, GenConfig};
-use sjos::Database;
+use sjos::{Database, ExecOptions};
 use sjos_planck::{
-    analyze_plan, certify_trace, corrupt_trace, lint_execution, record_search_trace,
+    analyze_plan, certify_trace, corrupt_trace, lint_replayed, record_search_trace, replay,
     PlanExpectations, Rule, TraceCorruption,
 };
 
@@ -40,7 +40,8 @@ fn fp_plans_proved_pipelined_statically_and_dynamically() {
             q.id,
             analysis.report.render()
         );
-        let dynamic = lint_execution(db.store(), &pattern, &plan.plan);
+        let run = replay(db.store(), &pattern, &plan.plan, &ExecOptions::default());
+        let dynamic = lint_replayed(&run, &plan.plan);
         assert!(
             !dynamic.violates(Rule::BatchContract),
             "{}: execution contradicts the static proof\n{}",
@@ -116,7 +117,8 @@ fn corrupted_traces_are_rejected_with_typed_diagnostics() {
         let (_, honest) =
             record_search_trace(&pattern, &estimates, &model, Algorithm::Dpp { lookahead: true })
                 .unwrap();
-        for (corruption, name) in TraceCorruption::ALL {
+        for corruption in TraceCorruption::ALL {
+            let name = corruption.name();
             let doctored = corrupt_trace(&honest, corruption);
             let report = certify_trace(&pattern, &estimates, &model, &doctored);
             assert!(!report.is_clean(), "{}: {name} corruption certified clean", q.id);
